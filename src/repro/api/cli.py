@@ -1335,8 +1335,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_serve = fleet_commands.add_parser(
         "serve",
         help="serve one workload open-loop across the fleet",
-        description="Serve every shard open-loop at the offered QPS (each rack "
-        "sees the arrivals for its router-assigned requests) and report "
+        description="Serve every shard open-loop under one arrival schedule at "
+        "the offered QPS (each rack sees the arrivals of its router-assigned "
+        "requests, so together they are offered the QPS) and report "
         "fleet-level tail latency over the pooled per-request samples: "
         "p50..p99.9, achieved QPS, goodput and SLA attainment.",
         epilog="examples:\n"

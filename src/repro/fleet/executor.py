@@ -8,16 +8,17 @@ parallel, so execution generalizes the sweep engine's chunking from grid
 points to shards: the same persistent worker pool
 (:func:`repro.api.sweep.worker_pool`), the same parent-built shared
 workload shipped once per task (a streaming workload travels as its
-small stream handle, PR 8 style), and the same deterministic reassembly
-— results are collected in shard order, so serial and pooled execution
-are byte-identical for any worker count.
+small stream handle), and the same deterministic reassembly — results
+are collected in shard order, so serial and pooled execution are
+byte-identical for any worker count.  Both run every shard through the
+one shard executor, :func:`execute_shard`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.api.session import (
     RunSpec,
@@ -35,114 +36,76 @@ from repro.fleet.result import (
     summarize_fleet_serve,
 )
 from repro.fleet.router import Router, make_router
-from repro.fleet.shard import ShardWorkload
+from repro.fleet.shard import ShardWorkload, shard_views
+from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.serve.server import serve
 
-__all__ = ["Fleet", "run_fleet", "serve_fleet"]
+__all__ = ["Fleet", "execute_shard", "run_fleet", "serve_fleet"]
 
 
 def _shard_base(spec: RunSpec) -> RunSpec:
     """The per-shard spec: the fleet fields cleared, everything else kept.
 
     Each shard is an ordinary single-system run over its shard view;
-    clearing the fleet fields keeps :func:`execute_fleet_shard` from
-    recursing and lets shards share the base spec's workload cache key.
+    clearing the fleet fields keeps :func:`execute_shard` from recursing
+    and lets shards share the base spec's workload cache key.
     """
     return replace(spec, fleet_shards=0, fleet_router="table-affinity", fleet_seed=0)
 
 
-def execute_fleet_shard(
+def execute_shard(
     base_spec: RunSpec,
     router: Router,
     shard: int,
     num_shards: int,
+    config: Any = None,
     shared_workload_key: Optional[str] = None,
     shared_workload: Any = None,
     record: bool = False,
-    keep_records: bool = False,  # accepted for executor symmetry; no records here
+    in_process: bool = False,
 ) -> dict:
-    """Replay one shard (module-level and picklable — the pool's unit).
+    """Replay one shard, or serve it under ``config`` (the pool's unit).
 
-    Mirrors :func:`repro.api.session.execute_chunk`: a parent-built
-    shared workload is installed into the worker's cache first, and with
-    ``record=True`` the payload carries the shard's observability
-    snapshot for ``shard-<i>`` attribution in the parent.
+    Module-level and picklable.  Mirrors
+    :func:`repro.api.session.execute_chunk`: a parent-built shared
+    workload is installed into the worker's cache first, and with
+    ``record=True`` the payload's ``obs`` carries the shard's
+    observability snapshot for ``shard-<i>`` attribution in the parent.
+    The payload's ``result`` is the shard's ``SimResult`` or
+    ``ServeResult``.  A served shard also ships ``samples``, its
+    per-request (latency, queue_wait, service) triples: enough for exact
+    fleet percentiles, so the record list itself is dropped before it
+    would cross a process boundary.  With ``in_process=True`` nothing
+    crosses one: the records stay and the payload's ``system`` holds the
+    shard's system for inspection.
     """
     if shared_workload_key and shared_workload is not None:
         seed_workload_cache(shared_workload_key, shared_workload)
-    recorder = None
-    if record:
-        from repro.obs.recorder import TraceRecorder
-
-        recorder = TraceRecorder(label=f"shard-{shard}")
     system = build_system(base_spec)
-    base = build_workload(base_spec)
-    workload = ShardWorkload(base, router, shard, num_shards)
-    if recorder is not None:
+    workload = ShardWorkload(build_workload(base_spec), router, shard, num_shards)
+    recorder = NULL_RECORDER
+    if record:
+        recorder = TraceRecorder(label=f"shard-{shard}")
         set_recorder = getattr(system, "set_recorder", None)
         if set_recorder is not None:
             set_recorder(recorder)
-        with recorder.phase(f"fleet.shard-{shard}"):
-            sim = system.run(workload)
-    else:
-        sim = system.run(workload)
-    return {
-        "sim": sim,
-        "obs": recorder.snapshot() if recorder is not None else None,
+    with recorder.phase(f"fleet.shard-{shard}"):
+        result = system.run(workload) if config is None else serve(system, workload, config)
+    payload = {
+        "result": result,
+        "obs": recorder.snapshot() if record else None,
         "pid": os.getpid(),
     }
-
-
-def execute_fleet_serve_shard(
-    base_spec: RunSpec,
-    router: Router,
-    shard: int,
-    num_shards: int,
-    config: Any,
-    shared_workload_key: Optional[str] = None,
-    shared_workload: Any = None,
-    record: bool = False,
-    keep_records: bool = False,
-) -> dict:
-    """Serve one shard open-loop; ships summary + raw timing samples back.
-
-    The per-request record list is reduced to (latency, queue_wait,
-    service) triples before crossing the process boundary — enough for
-    exact fleet-level percentiles without pickling the records.
-    ``keep_records`` (in-process execution only) retains them for
-    fingerprint-level comparisons; it never crosses a pickle boundary.
-    """
-    from repro.serve.server import serve as _serve
-
-    if shared_workload_key and shared_workload is not None:
-        seed_workload_cache(shared_workload_key, shared_workload)
-    recorder = None
-    if record:
-        from repro.obs.recorder import TraceRecorder
-
-        recorder = TraceRecorder(label=f"shard-{shard}")
-    system = build_system(base_spec)
-    base = build_workload(base_spec)
-    workload = ShardWorkload(base, router, shard, num_shards)
-    if recorder is not None:
-        set_recorder = getattr(system, "set_recorder", None)
-        if set_recorder is not None:
-            set_recorder(recorder)
-        with recorder.phase(f"fleet.shard-{shard}"):
-            result = _serve(system, workload, config)
-    else:
-        result = _serve(system, workload, config)
-    samples = [
-        (record_.latency_ns, record_.queue_wait_ns, record_.service_ns)
-        for record_ in (result.records or [])
-    ]
-    if not keep_records:
-        result.records = None
-    return {
-        "serve": result,
-        "samples": samples,
-        "obs": recorder.snapshot() if recorder is not None else None,
-        "pid": os.getpid(),
-    }
+    if config is not None:
+        payload["samples"] = [
+            (request.latency_ns, request.queue_wait_ns, request.service_ns)
+            for request in result.records or []
+        ]
+        if not in_process:
+            result.records = None
+    if in_process:
+        payload["system"] = system
+    return payload
 
 
 class Fleet:
@@ -174,11 +137,7 @@ class Fleet:
 
     def shard_workloads(self) -> List[ShardWorkload]:
         """All shard views over the (cached) shared base workload."""
-        base = build_workload(self.base_spec)
-        return [
-            ShardWorkload(base, self.router, shard, self.num_shards)
-            for shard in range(self.num_shards)
-        ]
+        return shard_views(build_workload(self.base_spec), self.router, self.num_shards)
 
     # ------------------------------------------------------------------
     # Execution
@@ -191,83 +150,36 @@ class Fleet:
             shared = build_workload(self.base_spec)
         return key, shared
 
-    def _merge_obs(self, recorder: Any, payloads: Sequence[dict]) -> None:
-        for shard, payload in enumerate(payloads):
-            snapshot = payload.get("obs")
-            if snapshot is not None:
-                recorder.merge(snapshot, process=f"shard-{shard}")
+    def _execute(self, config: Any, workers: int, recorder: Optional[Any]) -> List[dict]:
+        """Run :func:`execute_shard` for every shard, pooled or serially in-process.
 
-    def _execute(
-        self, executor, extra_args: Tuple, workers: int, recorder: Optional[Any]
-    ) -> List[dict]:
-        record = recorder is not None
+        Both paths hand every shard identical inputs and collect payloads
+        in shard order, so their results match byte for byte.
+        """
+        key, shared = self._shared_workload()
+        args = [
+            (self.base_spec, self.router, shard, self.num_shards, config, key, shared,
+             recorder is not None)
+            for shard in range(self.num_shards)
+        ]
         if workers and workers > 0:
             from repro.api.sweep import worker_pool
 
-            key, shared = self._shared_workload()
             pool = worker_pool().get(min(int(workers), self.num_shards))
-            pending = [
-                pool.apply_async(
-                    executor,
-                    (self.base_spec, self.router, shard, self.num_shards)
-                    + extra_args
-                    + (key, shared, record),
-                )
-                for shard in range(self.num_shards)
-            ]
+            pending = [pool.apply_async(execute_shard, shard_args) for shard_args in args]
             payloads = [task.get() for task in pending]
+            self.systems = None
         else:
-            # In-process serial path; identical inputs per shard, so the
-            # results match the pooled path byte for byte.  Records are
-            # retained (keep_records) — they never cross a process
-            # boundary here and ``to_dict`` excludes them, so serial and
-            # pooled result dicts still compare equal.
-            self._shared_workload()  # warm the cache once, like the pool parent
-            payloads = [
-                executor(
-                    self.base_spec, self.router, shard, self.num_shards,
-                    *extra_args, None, None, record, True,
-                )
-                for shard in range(self.num_shards)
-            ]
+            payloads = [execute_shard(*shard_args, in_process=True) for shard_args in args]
+            self.systems = [payload["system"] for payload in payloads]
         if recorder is not None:
-            self._merge_obs(recorder, payloads)
+            for shard, payload in enumerate(payloads):
+                recorder.merge(payload["obs"], process=f"shard-{shard}")
         return payloads
 
     def run(self, workers: int = 0, recorder: Optional[Any] = None) -> FleetResult:
         """Replay every shard closed-loop and aggregate the fleet result."""
-        self.systems = None
-        if not workers:
-            # Serial path inlined (not via the worker entry point) only to
-            # retain each shard's system for fingerprinting; the simulated
-            # path is the same executor call.
-            systems: List[Any] = []
-            payloads: List[dict] = []
-            key, shared = self._shared_workload()
-            for shard in range(self.num_shards):
-                sub = None
-                if recorder is not None:
-                    from repro.obs.recorder import TraceRecorder
-
-                    sub = TraceRecorder(label=f"shard-{shard}")
-                system = build_system(self.base_spec)
-                workload = ShardWorkload(shared, self.router, shard, self.num_shards)
-                if sub is not None:
-                    set_recorder = getattr(system, "set_recorder", None)
-                    if set_recorder is not None:
-                        set_recorder(sub)
-                    with sub.phase(f"fleet.shard-{shard}"):
-                        sim = system.run(workload)
-                else:
-                    sim = system.run(workload)
-                systems.append(system)
-                payloads.append({"sim": sim, "obs": sub.snapshot() if sub else None})
-            if recorder is not None:
-                self._merge_obs(recorder, payloads)
-            self.systems = systems
-        else:
-            payloads = self._execute(execute_fleet_shard, (), workers, recorder)
-        per_shard = [payload["sim"] for payload in payloads]
+        per_shard = [payload["result"] for payload in self._execute(None, workers, recorder)]
         return FleetResult(
             system=system_label(self.spec.system),
             router=self.router_policy,
@@ -279,19 +191,20 @@ class Fleet:
     def serve(
         self, config: Any, workers: int = 0, recorder: Optional[Any] = None
     ) -> FleetServeResult:
-        """Serve every shard open-loop at the configured QPS, concurrently.
+        """Serve every shard open-loop under one arrival stream, concurrently.
 
-        Every shard sees the full arrival process for its own requests
-        (same seed, its router-assigned slice), mirroring a frontend that
-        fans one arrival stream out across racks.
+        Request ``i`` arrives at stamp ``i`` of the configured arrival
+        schedule whichever shard it is routed to, mirroring a frontend that
+        fans one arrival stream out across racks: together the shards are
+        offered the configured QPS.
         """
-        payloads = self._execute(execute_fleet_serve_shard, (config,), workers, recorder)
+        payloads = self._execute(config, workers, recorder)
         return summarize_fleet_serve(
             system=system_label(self.spec.system),
             router=self.router_policy,
             qps=config.qps,
             sla_ns=config.sla_ns,
-            per_shard=[payload["serve"] for payload in payloads],
+            per_shard=[payload["result"] for payload in payloads],
             samples=[payload["samples"] for payload in payloads],
         )
 

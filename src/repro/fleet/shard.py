@@ -114,8 +114,7 @@ class ShardWorkload:
 
         Mirrors the base contract: a streaming base raises
         ``AttributeError`` here exactly like
-        :class:`~repro.traces.workload.StreamingWorkload` does, which is
-        what routes the engine and serve loop onto their windowed paths.
+        :class:`~repro.traces.workload.StreamingWorkload` does.
         """
         if self.streaming:
             raise AttributeError(
@@ -135,7 +134,7 @@ class ShardWorkload:
     ) -> Iterator[List[SLSRequest]]:
         """Yield this shard's requests window by window (one window resident)."""
         if not self.streaming:
-            yield list(self.requests)
+            yield self.requests
             return
         if self.router.table_affine and isinstance(self.base, StreamingWorkload):
             yield from self._iter_table_range_windows(window_batches)
@@ -181,42 +180,31 @@ class ShardWorkload:
             yield requests
 
     def __iter__(self) -> Iterator[SLSRequest]:
-        if self.streaming:
-            return chain.from_iterable(self.iter_windows())
-        return iter(self.requests)
+        return chain.from_iterable(self.iter_windows())
 
     def iter_address_arrays(self) -> Iterator[np.ndarray]:
-        """Per-request address arrays of this shard, in request order.
+        """This shard's addresses in request order, one array per window.
 
-        The streaming hotness-profiling pass consumes these; yielding the
-        kept requests' own address views keeps the profile bit-identical
-        to profiling the equivalent eager shard (same counts, same
+        The hotness-profiling pass consumes these; concatenating the kept
+        requests' own addresses keeps the profile bit-identical to
+        profiling the equivalent eager shard (same counts, same
         first-occurrence order).
         """
-        for request in self:
-            yield request.addresses
+        for window in self.iter_windows():
+            if window:
+                yield np.concatenate([request.addresses for request in window])
 
     # ------------------------------------------------------------------
     # Whole-shard aggregates (one filtered pass, cached)
     # ------------------------------------------------------------------
     def _scanned(self) -> dict:
         if self._scan is None:
-            if not self.streaming:
-                kept = self.requests
-                self._scan = {
-                    "num_requests": len(kept),
-                    "total_lookups": int(sum(r.num_candidates for r in kept)),
-                }
-            else:
-                num_requests = 0
-                total_lookups = 0
-                for window in self.iter_windows():
-                    num_requests += len(window)
-                    total_lookups += int(sum(r.num_candidates for r in window))
-                self._scan = {
-                    "num_requests": num_requests,
-                    "total_lookups": total_lookups,
-                }
+            num_requests = 0
+            total_lookups = 0
+            for window in self.iter_windows():
+                num_requests += len(window)
+                total_lookups += int(sum(r.num_candidates for r in window))
+            self._scan = {"num_requests": num_requests, "total_lookups": total_lookups}
         return self._scan
 
     @property

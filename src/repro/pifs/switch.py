@@ -284,7 +284,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
     ) -> Tuple[float, float]:
         """One in-switch accumulation over pre-resolved row positions.
 
-        ``ks`` are resolved workload positions indexing the session columns
+        ``ks`` are resolved positions indexing the dispatch unit's columns
         ``addr``/``cch``/``cfb``/``crow`` (address and CXL-DRAM coordinates)
         and ``devs`` the owning device id aligned with ``ks``;
         ``port_transfer``/``port_stream`` are the issuing host port's

@@ -25,8 +25,6 @@ Two execution engines replay a workload (:meth:`SLSSystem.set_engine`):
 
 from __future__ import annotations
 
-import numpy as np
-
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -268,7 +266,7 @@ class SLSSystem(ABC):
             from repro.sls.vector import VectorContext, VectorUnsupportedError
 
             try:
-                self._vector = VectorContext(self, workload)
+                self._vector = VectorContext(self)
             except VectorUnsupportedError as error:
                 # The scalar path supports everything; remember why the fast
                 # path was unavailable for introspection.
@@ -300,35 +298,17 @@ class SLSSystem(ABC):
         serving lane — the caller's next dispatch on this lane starts after
         the stall — rather than stalling every lane the way the closed-loop
         replay does.  :meth:`begin_session` must have been called.
+
+        With an active vector context the request is timed as a batch of
+        one through :meth:`service_batch_vector`, which resolves it first;
+        otherwise it runs on the scalar path.
         """
         num_hosts = max(1, self.system.num_hosts)
         host = request.host_id % num_hosts if host_id is None else host_id
-        vector = self._vector
-        if vector is not None and vector.owns(request):
-            finish_ns = self.process_request_vector(request, start_ns, host)
-        else:
-            finish_ns = self.process_request(request, start_ns, host)
-        obs = self.obs
-        if obs.enabled:
-            obs.span(
-                "request", start_ns, finish_ns, track=f"host{host}",
-                args={"id": request.request_id, "lookups": request.num_candidates},
-            )
-            obs.count("engine.requests")
-        self._lookups_since_maintenance += request.num_candidates
-        epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
-        if self._lookups_since_maintenance >= epoch:
-            self._lookups_since_maintenance = 0
-            if vector is not None:
-                vector.flush_tiered()
-            stall_ns = self.maintenance(finish_ns)
-            if stall_ns > 0 and obs.enabled:
-                obs.span(
-                    "maintenance", finish_ns, finish_ns + stall_ns,
-                    track=f"host{host}", cat="maintenance",
-                )
-            finish_ns += stall_ns
-        return finish_ns
+        if self._vector is not None:
+            return self.service_batch_vector([request], start_ns, host)[0]
+        finish_ns = self.process_request(request, start_ns, host)
+        return finish_ns + self._close_request(request, start_ns, finish_ns, f"host{host}")
 
     def service_batch_vector(
         self, requests: Sequence[SLSRequest], start_ns: float, host_id: int
@@ -338,56 +318,74 @@ class SLSSystem(ABC):
         Batched twin of calling :meth:`service_request` once per request
         with each start at the previous completion: returns the per-request
         completion times, from which the caller recovers every request's
-        cursor (request ``i`` starts at ``result[i - 1]``).  Maintenance
-        triggered by the epoch counter lands on the serving lane between
-        requests exactly as in the sequential path.  Requires an active
-        vector context (``engine="vector"`` and :meth:`begin_session`
-        succeeded building one); the epoch counter, flush points and
-        per-request arithmetic are identical to the scalar-serve dispatch,
-        so percentiles, queue timelines and backend state do not change.
+        cursor (request ``i`` starts at ``result[i - 1]``).  The batch is
+        resolved on the vector context (:meth:`VectorContext.load_window
+        <repro.sls.vector.VectorContext.load_window>`) right before it is
+        timed, so the context never holds more than this batch.
+        Maintenance triggered by the epoch counter lands on the serving
+        lane between requests exactly as in the sequential path.  Requires
+        an active vector context (``engine="vector"`` and
+        :meth:`begin_session` succeeded building one).
         """
         vector = self._vector
         if vector is None:
             raise RuntimeError("service_batch_vector requires an active vector context")
-        owns = vector.owns
-        process_vector = self.process_request_vector
-        process_scalar = self.process_request
-        flush = vector.flush_tiered
-        maintenance = self.maintenance
-        epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
-        counter = self._lookups_since_maintenance
-        obs = self.obs
-        record = obs.enabled
+        vector.load_window(requests)
+        process = self.process_request_vector
+        close_request = self._close_request
         track = f"host{host_id}"
         cursor = start_ns
         completions: List[float] = []
-        append = completions.append
         for request in requests:
             begin_ns = cursor
-            if owns(request):
-                cursor = process_vector(request, cursor, host_id)
-            else:
-                cursor = process_scalar(request, cursor, host_id)
-            if record:
-                obs.span(
-                    "request", begin_ns, cursor, track=track,
-                    args={"id": request.request_id, "lookups": request.num_candidates},
-                )
-                obs.count("engine.requests")
-            counter += request.num_candidates
-            if counter >= epoch:
-                counter = 0
-                flush()
-                stall_ns = maintenance(cursor)
-                if stall_ns > 0 and record:
-                    obs.span(
-                        "maintenance", cursor, cursor + stall_ns,
-                        track=track, cat="maintenance",
-                    )
-                cursor += stall_ns
-            append(cursor)
-        self._lookups_since_maintenance = counter
+            cursor = process(request, cursor, host_id)
+            cursor += close_request(request, begin_ns, cursor, track)
+            completions.append(cursor)
         return completions
+
+    def _close_request(
+        self,
+        request: SLSRequest,
+        start_ns: float,
+        finish_ns: float,
+        track: str,
+        lanes: Optional[List[float]] = None,
+    ) -> float:
+        """Bookkeeping after one request; returns the maintenance stall (ns).
+
+        Records the request span, adds the request's lookups to the epoch
+        counter and, when an epoch closes, flushes the vector context's
+        buffered access counts and runs :meth:`maintenance`.  Served
+        requests pause their own lane: maintenance starts at ``finish_ns``
+        and the caller adds the returned stall to that lane.  The
+        closed-loop replay passes its ``lanes`` instead: maintenance starts
+        once every lane is idle and stalls all of them in place.
+        """
+        obs = self.obs
+        if obs.enabled:
+            obs.span(
+                "request", start_ns, finish_ns, track=track,
+                args={"id": request.request_id, "lookups": request.num_candidates},
+            )
+            obs.count("engine.requests")
+        self._lookups_since_maintenance += request.num_candidates
+        epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
+        if self._lookups_since_maintenance < epoch:
+            return 0.0
+        self._lookups_since_maintenance = 0
+        if self._vector is not None:
+            self._vector.flush_tiered()
+        pause_ns = finish_ns if lanes is None else max(lanes)
+        stall_ns = self.maintenance(pause_ns)
+        if stall_ns > 0:
+            if obs.enabled:
+                obs.span(
+                    "maintenance", pause_ns, pause_ns + stall_ns,
+                    track=track if lanes is None else "maintenance", cat="maintenance",
+                )
+            if lanes is not None:
+                lanes[:] = [lane + stall_ns for lane in lanes]
+        return stall_ns
 
     def finish_session(self, total_ns: float) -> SimResult:
         """Assemble the :class:`SimResult` for the session ended at ``total_ns``."""
@@ -427,60 +425,35 @@ class SLSSystem(ABC):
         num_hosts = max(1, self.system.num_hosts)
         threads_per_host = max(1, self.system.host_threads)
         lanes = [0.0] * (num_hosts * threads_per_host)
-        epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
+        tracks = [
+            f"h{lane // threads_per_host}.t{lane % threads_per_host}"
+            if threads_per_host > 1 else f"host{lane}"
+            for lane in range(len(lanes))
+        ]
         # Per-host round-robin so every host spreads its own requests over its
         # own threads (lanes) independently of the global request order.
         host_cursor = [0] * num_hosts
 
         vector = self._vector
         process = self.process_request if vector is None else self.process_request_vector
-        obs = self.obs
-        record = obs.enabled
-        # Streaming workloads are replayed window by window: only the active
-        # window's requests (and, under the vector engine, its resolution
-        # arrays) are resident.  The per-request arithmetic, lane assignment
-        # and maintenance epochs are byte-for-byte the eager loop's, and the
-        # vector kernels persist across windows, so results are bit-identical
-        # to replaying the materialized workload.
-        streaming = getattr(workload, "streaming", False)
-        windows = workload.iter_windows() if streaming else (workload.requests,)
-        with obs.phase("engine.execute"):
-            for window in windows:
-                if streaming and vector is not None:
+        close_request = self._close_request
+        # Every workload is replayed window by window (an eager workload is
+        # one window): only the active window's requests and, under the
+        # vector engine, its resolution arrays are resident.  Lane state,
+        # maintenance epochs and the vector kernels persist across windows,
+        # so the result does not depend on where the windows are cut.
+        with self.obs.phase("engine.execute"):
+            for window in workload.iter_windows():
+                if vector is not None:
                     vector.load_window(window)
                 for request in window:
                     host_id = request.host_id % num_hosts
-                    lane_index = host_id * threads_per_host + (host_cursor[host_id] % threads_per_host)
+                    lane = host_id * threads_per_host + host_cursor[host_id] % threads_per_host
                     host_cursor[host_id] += 1
-                    start_ns = lanes[lane_index]
-                    finish_ns = process(request, start_ns, host_id)
-                    lanes[lane_index] = finish_ns
-                    if record:
-                        thread = lane_index - host_id * threads_per_host
-                        obs.span(
-                            "request", start_ns, finish_ns,
-                            track=f"h{host_id}.t{thread}"
-                            if threads_per_host > 1 else f"host{host_id}",
-                            args={"id": request.request_id, "lookups": request.num_candidates},
-                        )
-                        obs.count("engine.requests")
-                    self._lookups_since_maintenance += request.num_candidates
-                    if self._lookups_since_maintenance >= epoch:
-                        self._lookups_since_maintenance = 0
-                        if vector is not None:
-                            vector.flush_tiered()
-                        pause_ns = max(lanes)
-                        stall_ns = self.maintenance(pause_ns)
-                        if stall_ns > 0:
-                            lanes = [lane + stall_ns for lane in lanes]
-                            if record:
-                                obs.span(
-                                    "maintenance", pause_ns, pause_ns + stall_ns,
-                                    track="maintenance", cat="maintenance",
-                                )
-
-        total_ns = max(lanes) if lanes else 0.0
-        return self.finish_session(total_ns)
+                    start_ns = lanes[lane]
+                    finish_ns = lanes[lane] = process(request, start_ns, host_id)
+                    close_request(request, start_ns, finish_ns, tracks[lane], lanes)
+        return self.finish_session(max(lanes))
 
     # ------------------------------------------------------------------
     # Hooks
@@ -565,22 +538,14 @@ class SLSSystem(ABC):
     def _profile_page_hotness(self, workload: SLSWorkload) -> AccessTracker:
         """Count page accesses across the whole workload (profiling pass).
 
-        Vectorized: one numpy pass over the concatenated addresses and one
-        C-level counter update, preserving the scalar loop's counts *and*
-        first-occurrence insertion order (the tie-breaker of
-        ``AccessTracker.hottest``), so placements are unchanged.
+        Vectorized: one C-level counter update per address array of the
+        workload, in request order.  Chunked ``record_many`` calls keep the
+        scalar loop's counts *and* first-occurrence insertion order (the
+        tie-breaker of ``AccessTracker.hottest``), so placements do not
+        depend on how the workload cuts its address arrays.
         """
         tracker = AccessTracker()
-        if getattr(workload, "streaming", False):
-            # One window of addresses at a time; chunked ``record_many``
-            # calls produce the same counts *and* the same first-occurrence
-            # insertion order as one concatenated pass, so the resulting
-            # placement is unchanged.
-            for addresses in workload.iter_address_arrays():
-                tracker.record_many((addresses // PAGE_SIZE_BYTES).tolist())
-            return tracker
-        if workload.requests:
-            addresses = np.concatenate([request.addresses for request in workload.requests])
+        for addresses in workload.iter_address_arrays():
             tracker.record_many((addresses // PAGE_SIZE_BYTES).tolist())
         return tracker
 
@@ -698,10 +663,10 @@ class SLSSystem(ABC):
         """Vector-engine twin of :meth:`host_accumulate_bag`.
 
         The request's addresses were resolved to (page, node, DRAM
-        coordinates) at session start; the MLP-group timing below runs on
-        the flattened kernels with the exact scalar arithmetic, and the
-        page/node access-recording side effects are buffered on the context
-        for the pre-maintenance flush.
+        coordinates) with its dispatch unit; the MLP-group timing below
+        runs on the flattened kernels with the exact scalar arithmetic, and
+        the page/node access-recording side effects are buffered on the
+        context for the pre-maintenance flush.
         """
         ctx = self._vector
         begin, end = ctx.bounds[request.request_id]

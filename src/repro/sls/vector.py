@@ -5,11 +5,11 @@ stack (tiered page table → device models → switch/link objects), costing
 dozens of Python calls per row.  The vectorized engine keeps the *scalar
 path as the oracle* and restructures the work in two stages:
 
-1. **Batched resolution** — at session start every request's addresses are
-   concatenated and resolved with a handful of numpy passes: page ids,
-   DRAM coordinates under both the local-DDR5 and the CXL-DDR4 mappings
-   (placement-independent, computed once), and — per placement generation —
-   the page → node gather through
+1. **Batched resolution** — before each dispatch unit is timed (a replay
+   window, or a served batch) its requests' addresses are concatenated and
+   resolved with a handful of numpy passes: page ids, DRAM coordinates
+   under both the local-DDR5 and the CXL-DDR4 mappings, and — per
+   placement generation — the page → node gather through
    :meth:`~repro.memsys.tiered.TieredMemorySystem.node_id_table`.
 2. **Flattened timing kernels** — the stateful per-access arithmetic runs
    through the layer kernels (:class:`~repro.dram.device.DRAMKernel`,
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -46,57 +46,15 @@ class VectorUnsupportedError(RuntimeError):
     """
 
 
-class _OffsetBounds:
-    """Request-id-indexed view over window-local ``(begin, end)`` bounds.
-
-    Streaming windows keep the workload's global request ids, but the
-    context's resolution arrays are window-local; this shim lets every
-    request path keep indexing ``ctx.bounds[request.request_id]`` verbatim
-    while the window's bounds list stays O(window).
-    """
-
-    __slots__ = ("_bounds", "_base")
-
-    def __init__(self, bounds: List[Tuple[int, int]], base: int) -> None:
-        self._bounds = bounds
-        self._base = base
-
-    def __getitem__(self, request_id: int) -> Tuple[int, int]:
-        return self._bounds[request_id - self._base]
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-
-class _MappedBounds:
-    """Bounds view for windows whose request ids are not contiguous.
-
-    Fleet shard views (:class:`repro.fleet.shard.ShardWorkload`) filter a
-    shared trace but keep the global request ids, so a shard's window has
-    id gaps where requests were routed to other shards.  A per-window
-    id -> position dict keeps ``ctx.bounds[request.request_id]`` exact
-    while staying O(window).
-    """
-
-    __slots__ = ("_bounds", "_positions")
-
-    def __init__(self, bounds: List[Tuple[int, int]], request_ids: List[int]) -> None:
-        self._bounds = bounds
-        self._positions = {request_id: index for index, request_id in enumerate(request_ids)}
-
-    def __getitem__(self, request_id: int) -> Tuple[int, int]:
-        return self._bounds[self._positions[request_id]]
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-
 class VectorContext:
-    """Per-session resolution arrays and timing kernels for one system."""
+    """Per-session timing kernels plus the resolution arrays of one dispatch unit.
 
-    def __init__(self, system, workload) -> None:
+    Construction builds the kernels and resolves nothing; the engine calls
+    :meth:`load_window` with every dispatch unit before timing it.
+    """
+
+    def __init__(self, system) -> None:
         self.system = system
-        self.workload = workload
         self.tiered = system.tiered
         backends = system.backends
         self.backends = backends
@@ -171,52 +129,34 @@ class VectorContext:
         self._bind_closures()
         system.prepare_vector(self)
 
-        # ------------------------------------------------------------------
-        # Stage 1: batched address resolution.  Eager workloads resolve the
-        # whole request list once; streaming workloads start empty and the
-        # engine re-resolves per window via :meth:`load_window` (the kernels
-        # above persist across windows, so the timing-state stream — and
-        # therefore every finish time — is identical to one whole-workload
-        # resolution).
-        # ------------------------------------------------------------------
-        initial = [] if getattr(workload, "streaming", False) else workload.requests
-        self.load_window(initial)
-
     # ------------------------------------------------------------------
-    # Stage-1 resolution (whole workload, or one streaming window)
+    # Stage-1 resolution (one dispatch unit)
     # ------------------------------------------------------------------
     def load_window(self, requests: List) -> None:
-        """(Re)resolve the context's stage-1 arrays over ``requests``.
+        """Resolve the stage-1 arrays over ``requests``, the next dispatch unit.
 
-        ``requests`` must carry strictly increasing request ids (whole
-        eager lists, streaming windows, and fleet shard views all do —
-        shard views leave id gaps, covered by a mapped bounds view);
-        resolution arrays become O(len(requests)) and
-        ``bounds`` stays indexable by global request id.  Kernel state and
-        the buffered access counters are left untouched — they are
-        cumulative across windows, exactly like the scalar engine's device
-        state.
+        The closed-loop replay passes each workload window (an eager
+        workload is one window); the serve loop passes each batch it is
+        about to time.  ``bounds`` maps every request id of the unit to its
+        ``(begin, end)`` positions in the arrays, so ids may be global and
+        have gaps (fleet shard views, a host's batch).  Kernel state and the
+        buffered access counters are left untouched — they are cumulative
+        across units, exactly like the scalar engine's device state, so
+        every finish time is independent of how the trace is cut.
         """
-        self.requests = requests
-        self._base = requests[0].request_id if requests else 0
         if requests:
             addresses = np.concatenate([request.addresses for request in requests])
         else:
             addresses = np.zeros(0, dtype=np.int64)
         addresses = addresses.astype(np.int64, copy=False)
-        lengths = [len(request.addresses) for request in requests]
-        ends = np.cumsum(lengths) if lengths else np.zeros(0, dtype=np.int64)
-        starts = ends - np.asarray(lengths, dtype=np.int64) if lengths else ends
-        bounds: List[Tuple[int, int]] = list(zip(starts.tolist(), ends.tolist()))
-        request_ids = [request.request_id for request in requests]
-        if not requests or request_ids[-1] - self._base + 1 == len(requests):
-            # Contiguous ids (whole eager lists and plain streaming windows).
-            self.bounds = bounds if self._base == 0 else _OffsetBounds(bounds, self._base)
-        else:
-            # Id gaps: a fleet shard view routed the missing requests to
-            # other shards (ids stay global so fleet results line up with
-            # the unsharded replay).
-            self.bounds = _MappedBounds(bounds, request_ids)
+        lengths = np.fromiter(
+            (len(request.addresses) for request in requests), dtype=np.int64, count=len(requests)
+        )
+        ends = np.cumsum(lengths)
+        self.bounds: Dict[int, Tuple[int, int]] = dict(zip(
+            [request.request_id for request in requests],
+            zip((ends - lengths).tolist(), ends.tolist()),
+        ))
 
         self.addr: List[int] = addresses.tolist()
         self._page_np = addresses // self.tiered.page_size
@@ -231,8 +171,7 @@ class VectorContext:
         self.cch, self.cfb, self.crow = cch.tolist(), cfb.tolist(), crow.tolist()
 
         # Invalidate the node-window gather cache: positions are relative
-        # to this window's arrays.
-        self._window: List[int] = []
+        # to this unit's arrays.
         self._window_local: List[bool] = []
         self._window_device: List[int] = []
         self._local_pos: List[int] = []
@@ -246,11 +185,6 @@ class VectorContext:
     # ------------------------------------------------------------------
     # Resolution accessors
     # ------------------------------------------------------------------
-    def owns(self, request) -> bool:
-        """True when ``request`` is in the currently resolved window."""
-        index = request.request_id - self._base
-        return 0 <= index < len(self.requests) and self.requests[index] is request
-
     #: Gather granularity of the node window (lookups, not bytes): large
     #: enough to amortize the numpy gather, small enough that the frequent
     #: migration epochs of the page-managed systems do not re-gather the
@@ -265,8 +199,8 @@ class VectorContext:
         the closed-loop replay consumes positions in order, so each epoch
         re-gathers one window rather than the full workload.  One rebuild
         derives, with a handful of numpy passes, everything the request
-        paths consume per row: the node ids, the local/CXL flags, the
-        owning device per position, and the position-sorted local/remote
+        paths consume per row: the local/CXL flags, the owning device per
+        position, and the position-sorted local/remote
         split with its device and switch columns (so per-request splits are
         C-level list slices instead of per-row Python branching).
         """
@@ -284,7 +218,6 @@ class VectorContext:
             stop = total
         table = self.tiered.node_id_table()
         window_np = table[self._page_np[begin:stop]]
-        self._window = window_np.tolist()
         local_mask = self._node_is_local_np[window_np]
         self._window_local = local_mask.tolist()
         device_np = self._node_device_np[window_np]
@@ -299,15 +232,6 @@ class VectorContext:
         self._window_start = begin
         self._window_end = stop
         self._node_generation = self.tiered.generation
-
-    def nodes_window(self, begin: int, end: int) -> Tuple[List[int], int]:
-        """Node ids for resolved positions ``[begin, end)`` as ``(list, offset)``.
-
-        Returns a window list whose index ``k - offset`` holds the node id
-        of resolved position ``k``.
-        """
-        self._ensure_window(begin, end)
-        return self._window, self._window_start
 
     def window_flags(self, begin: int, end: int) -> Tuple[List[bool], List[int], int]:
         """Per-position ``(local_flags, device_ids, offset)`` for ``[begin, end)``.
@@ -343,15 +267,6 @@ class VectorContext:
             self._remote_dev[j0:j1],
             self._remote_sw[j0:j1],
         )
-
-    def nodes(self) -> List[int]:
-        """Current node id for every resolved address (full gather).
-
-        Convenience/testing accessor; the request paths use the windowed
-        :meth:`nodes_window`.
-        """
-        table = self.tiered.node_id_table()
-        return table[self._page_np].tolist()
 
     # ------------------------------------------------------------------
     # Closure binding / state flushing

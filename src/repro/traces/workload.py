@@ -65,12 +65,21 @@ class SLSWorkload:
     distribution: str
     trace: Optional[List[TraceBatch]] = None
 
-    #: Eager workloads hold every request resident; the engine and serve
-    #: loop branch on this marker (duck-typed, see :class:`StreamingWorkload`).
+    #: Eager workloads hold every request resident (duck-typed marker, see
+    #: :class:`StreamingWorkload`).
     streaming = False
 
     def __iter__(self) -> Iterator[SLSRequest]:
         return iter(self.requests)
+
+    def iter_windows(self) -> Iterator[List[SLSRequest]]:
+        """The whole request list as one window (the :class:`StreamingWorkload` contract)."""
+        yield self.requests
+
+    def iter_address_arrays(self) -> Iterator[np.ndarray]:
+        """Every request's addresses, concatenated in request order, as one array."""
+        if self.requests:
+            yield np.concatenate([request.addresses for request in self.requests])
 
     def __len__(self) -> int:
         return len(self.requests)

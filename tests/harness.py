@@ -174,6 +174,15 @@ def _strip_net(fingerprint: Dict[str, Any]) -> Dict[str, Any]:
     return {key: value for key, value in fingerprint.items() if key != "net"}
 
 
+def _fleet_serve_dict_without_net(result) -> Dict[str, Any]:
+    """A FleetServeResult dict with every (combined and per-shard) ``net`` removed."""
+    data = result.to_dict()
+    for sim in [data["sim"]] + [shard["sim"] for shard in data["per_shard"]]:
+        if sim is not None:
+            sim.pop("net", None)
+    return data
+
+
 # ---------------------------------------------------------------------------
 # The differential assertions
 # ---------------------------------------------------------------------------
@@ -339,12 +348,13 @@ def assert_fleet_identical(
     # on every engine x streaming variant — shard views leave request-id
     # gaps the vector context must handle, so the pooled/serial sweep must
     # not silently run a single fidelity.  Across engines, the multi-shard
-    # combined aggregate must agree once NetStats (packet-tier-only) is
-    # stripped — the same within/across-engine contract the single-system
-    # oracles pin.
+    # combined aggregate and the serial serve result must agree once
+    # NetStats (packet-tier-only) is stripped — the same
+    # within/across-engine contract the single-system oracles pin.
     for shards in shard_counts:
         for stream in streaming:
             reference = None
+            serve_reference = None
             for engine in engines:
                 fleet_spec = replace(
                     spec, engine=engine, stream=stream, fleet_shards=int(shards)
@@ -371,6 +381,13 @@ def assert_fleet_identical(
                     assert serial_serve.to_dict() == pooled_serve.to_dict(), (
                         f"pooled fleet serve diverged from serial ({label})"
                     )
+                    served = _fleet_serve_dict_without_net(serial_serve)
+                    if serve_reference is None:
+                        serve_reference = (served, label)
+                    else:
+                        assert served == serve_reference[0], (
+                            f"fleet serve: {label} diverged from {serve_reference[1]}"
+                        )
     return per_engine
 
 

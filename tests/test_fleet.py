@@ -287,6 +287,33 @@ def test_fleet_identical_power_of_two_streaming():
     )
 
 
+def test_multi_shard_vector_serve_matches_scalar():
+    """Shard batches have id gaps; vector dispatch must still time every request."""
+    spec = Simulation().quick().num_batches(4).fleet(3, router="hash").spec()
+    assert_fleet_identical(
+        spec,
+        shard_counts=(3,),
+        engines=("scalar", "vector"),
+        streaming=(False,),
+        serve_config=ServeConfig(qps=2e5, seed=3),
+    )
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_fleet_serve_offers_one_global_arrival_schedule(shards):
+    """Request i arrives at stamp i whatever its shard: together the shards
+    are offered exactly the unsharded arrivals, i.e. the configured QPS."""
+    config = ServeConfig(qps=2e5, seed=3)
+    single = _quick().serve(config.qps, seed=config.seed)
+    fleet = Fleet(_quick().fleet(shards, router="hash", seed=1).spec()).serve(config)
+    pairs = sorted(
+        (record.request_id, record.arrival_ns)
+        for shard in fleet.per_shard
+        for record in shard.records
+    )
+    assert pairs == [(record.request_id, record.arrival_ns) for record in single.records]
+
+
 # ---------------------------------------------------------------------------
 # Facade integration: Simulation / Sweep / scenario / JSON
 # ---------------------------------------------------------------------------

@@ -293,6 +293,27 @@ class TestServing:
         with pytest.raises(FrozenInstanceError):
             replace(ServeConfig(qps=1e5), qps=2e5).__setattr__("qps", 1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("qps", math.nan),
+            ("qps", math.inf),
+            ("qps", 0.0),
+            ("qps", -1e5),
+            ("sla_ns", math.nan),
+            ("sla_ns", 0.0),
+            ("sla_ns", -1.0),
+            ("max_batch_size", 0),
+            ("max_wait_ns", -1.0),
+            ("max_wait_ns", math.nan),
+            ("arrival", "pareto"),
+        ],
+    )
+    def test_serve_config_rejects_an_invalid_field_by_name(self, field, value):
+        settings = {"qps": 1e5, field: value}
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**settings)
+
     def test_direct_serve_entry_point(self, tiny_workload, tiny_system):
         from repro.baselines.pond import PondSystem
 
@@ -513,3 +534,35 @@ class TestVectorServeDispatch:
             cursor = sequential.service_request(request, cursor, 0)
             expected.append(cursor)
         assert completions == expected
+
+    def test_context_holds_only_the_last_batch_after_serve(self, tiny_workload, tiny_system):
+        from repro.api.registry import create_system
+
+        config = ServeConfig(qps=2e5, max_batch_size=4)
+        system = create_system("pifs-rec", tiny_system).set_engine("vector")
+        serve(system, tiny_workload, config)
+        context = system._vector
+        assert 0 < len(context.bounds) <= config.max_batch_size
+        resolved = [r for r in tiny_workload.requests if r.request_id in context.bounds]
+        assert len(context.page) == sum(r.num_candidates for r in resolved)
+
+    def test_batch_hook_on_a_streamed_session_matches_eager(self, tiny_workload_config, tiny_system):
+        """Streamed sessions can dispatch vector batches: same completions and state."""
+        from harness import run_fingerprint
+        from repro.api.registry import create_system
+        from repro.traces.workload import build_workload
+
+        def serve_in_batches(workload):
+            system = create_system("pifs-rec", tiny_system).set_engine("vector")
+            system.begin_session(workload)
+            requests = list(workload)
+            cursor, completions = 0.0, []
+            for start in range(0, len(requests), 3):
+                completions += system.service_batch_vector(requests[start:start + 3], cursor, 0)
+                cursor = completions[-1]
+            result = system.finish_session(cursor)
+            return completions, run_fingerprint(system, result)
+
+        eager = build_workload(tiny_workload_config)
+        streamed = build_workload(tiny_workload_config, streaming=True, window_batches=1)
+        assert serve_in_batches(streamed) == serve_in_batches(eager)
