@@ -7,6 +7,7 @@ fall).  Absolute numbers are not expected to match the paper — the substrate
 is a functional simulator, not the authors' testbed.
 """
 
+import json
 import os
 import platform
 
@@ -29,6 +30,22 @@ def run_once(benchmark, func, *args, **kwargs):
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
 
+def _flag(name: str) -> bool:
+    return os.environ.get(name, "") not in ("", "0")
+
+
+def write_baseline(path, data: dict) -> None:
+    """Write one ``BENCH_*.json`` baseline, only when recording was asked for.
+
+    ``python -m repro bench`` sets ``REPRO_BENCH_RECORD=1`` outside smoke
+    mode; a plain ``pytest`` run and smoke mode (``REPRO_BENCH_SMOKE=1``)
+    never write, so running the tests leaves the committed baselines as
+    they are.
+    """
+    if _flag("REPRO_BENCH_RECORD") and not _flag("REPRO_BENCH_SMOKE"):
+        path.write_text(json.dumps(data, indent=2) + "\n")
+
+
 def bench_environment() -> dict:
     """Environment metadata stamped into every ``BENCH_*.json`` baseline.
 
@@ -48,5 +65,5 @@ def bench_environment() -> dict:
         "machine": platform.machine(),
         "system": platform.system(),
         "cpus": os.cpu_count(),
-        "smoke": os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0"),
+        "smoke": _flag("REPRO_BENCH_SMOKE"),
     }

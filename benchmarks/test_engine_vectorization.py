@@ -18,12 +18,11 @@ Set ``REPRO_BENCH_SMOKE=1`` (the CI docs job does) for a shorter replay
 with relaxed floors and no baseline file.
 """
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -117,29 +116,25 @@ def test_engine_vectorization(benchmark):
     print(f"host-centric aggregate ({', '.join(HOST_CENTRIC)}): {host_speedup:.2f}x")
     print(f"full fig12 grid aggregate: {full_speedup:.2f}x")
 
-    if not SMOKE:
-        BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "engine_vectorization",
-                "description": "fig12-scale replay (model RMC2, meta trace, "
-                f"{NUM_BATCHES} batches at the default evaluation scale), "
-                "scalar vs vector engine, best of "
-                f"{REPEATS} runs each",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entries": rows,
-                "aggregate": {
-                    "host_centric_systems": list(HOST_CENTRIC),
-                    "host_centric_speedup": host_speedup,
-                    "full_grid_speedup": full_speedup,
-                },
-                "floors": {
-                    "host_centric": HOST_CENTRIC_FLOOR,
-                    "full_grid": FULL_GRID_FLOOR,
-                },
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(BASELINE_PATH, {
+        "benchmark": "engine_vectorization",
+        "description": "fig12-scale replay (model RMC2, meta trace, "
+        f"{NUM_BATCHES} batches at the default evaluation scale), "
+        "scalar vs vector engine, best of "
+        f"{REPEATS} runs each",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entries": rows,
+        "aggregate": {
+            "host_centric_systems": list(HOST_CENTRIC),
+            "host_centric_speedup": host_speedup,
+            "full_grid_speedup": full_speedup,
+        },
+        "floors": {
+            "host_centric": HOST_CENTRIC_FLOOR,
+            "full_grid": FULL_GRID_FLOOR,
+        },
+    })
 
     # The host-centric replay loop was pure interpreter overhead: the batched
     # engine must clear 5x there.  RecNMP/PIFS-Rec spend real work in shared
@@ -203,31 +198,27 @@ def test_fabric_kernels(benchmark):
     print(f"fabric-kernel aggregate ({', '.join(FABRIC_SYSTEMS)}): {fabric_speedup:.2f}x")
     print(f"recnmp+pifs-rec pair: {pair_speedup:.2f}x")
 
-    if not SMOKE:
-        FABRIC_BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "fabric_kernels",
-                "description": "fig12-scale replay (model "
-                f"{FABRIC_MODEL}, meta trace, {NUM_BATCHES} batches at the "
-                "default evaluation scale) of the fabric/in-switch systems, "
-                f"scalar vs vector engine, best of {REPEATS} runs each",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entries": rows,
-                "aggregate": {
-                    "fabric_systems": list(FABRIC_SYSTEMS),
-                    "fabric_speedup": fabric_speedup,
-                    "recnmp_pifs_pair_speedup": pair_speedup,
-                    "pifs_rec_speedup": pifs_speedup,
-                },
-                "floors": {
-                    "fabric_aggregate": FABRIC_FLOOR,
-                    "pifs_rec": FABRIC_PIFS_FLOOR,
-                    "recnmp_pifs_pair": FABRIC_PAIR_FLOOR,
-                },
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(FABRIC_BASELINE_PATH, {
+        "benchmark": "fabric_kernels",
+        "description": "fig12-scale replay (model "
+        f"{FABRIC_MODEL}, meta trace, {NUM_BATCHES} batches at the "
+        "default evaluation scale) of the fabric/in-switch systems, "
+        f"scalar vs vector engine, best of {REPEATS} runs each",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entries": rows,
+        "aggregate": {
+            "fabric_systems": list(FABRIC_SYSTEMS),
+            "fabric_speedup": fabric_speedup,
+            "recnmp_pifs_pair_speedup": pair_speedup,
+            "pifs_rec_speedup": pifs_speedup,
+        },
+        "floors": {
+            "fabric_aggregate": FABRIC_FLOOR,
+            "pifs_rec": FABRIC_PIFS_FLOOR,
+            "recnmp_pifs_pair": FABRIC_PAIR_FLOOR,
+        },
+    })
 
     assert fabric_speedup >= FABRIC_FLOOR, (
         f"fabric-kernel aggregate {fabric_speedup:.2f}x below the {FABRIC_FLOOR}x floor"

@@ -21,12 +21,11 @@ actually having cores to scale onto:
   was applied (the host's CPU count is in the environment block).
 """
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.api.session import Simulation, clear_cache
 from repro.api.sweep import shutdown_worker_pool, worker_pool
@@ -161,24 +160,20 @@ def test_fleet_scaling(benchmark):
             f"{POOLED_FLOOR}x CI floor"
         )
 
-    if not SMOKE:
-        BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "fleet_scaling",
-                "description": f"{row['requests']:,}-request streamed trace "
-                f"({NUM_BATCHES} batches x {BATCH_SIZE} queries, vector "
-                f"engine) replayed across {SHARDS} fleet shards behind the "
-                f"{ROUTER} router: in-process serial vs the persistent "
-                f"{WORKERS}-worker pool (results asserted byte-identical), "
-                f"best of {REPEATS}; plus a pooled open-loop session for "
-                "the fleet tail latency",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entry": row,
-                "floors": {"fleet_pooled_speedup": 1.5, "applied": applied},
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(BASELINE_PATH, {
+        "benchmark": "fleet_scaling",
+        "description": f"{row['requests']:,}-request streamed trace "
+        f"({NUM_BATCHES} batches x {BATCH_SIZE} queries, vector "
+        f"engine) replayed across {SHARDS} fleet shards behind the "
+        f"{ROUTER} router: in-process serial vs the persistent "
+        f"{WORKERS}-worker pool (results asserted byte-identical), "
+        f"best of {REPEATS}; plus a pooled open-loop session for "
+        "the fleet tail latency",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entry": row,
+        "floors": {"fleet_pooled_speedup": 1.5, "applied": applied},
+    })
 
     if PARALLEL_HOST:
         assert row["speedup"] >= POOLED_FLOOR, (

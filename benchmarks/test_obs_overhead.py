@@ -23,7 +23,7 @@ import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.experiments.common import DEFAULT_SCALE, EvaluationScale
@@ -56,7 +56,7 @@ def _merge_baseline(section: str, payload: dict) -> None:
     data["recorded_unix"] = int(time.time())
     data["host"] = bench_environment()
     data[section] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    write_baseline(BASELINE_PATH, data)
 
 
 def _bench_scale() -> EvaluationScale:
@@ -90,15 +90,14 @@ def test_trace_overhead(benchmark):
         assert row["identical"], f"{cell}: recording perturbed the simulated total"
         assert row["events"] > 0, f"{cell}: the traced run recorded nothing"
 
-    if not SMOKE:
-        _merge_baseline("trace", {
-            "description": "one cell per fidelity tier (scalar/vector/packet) "
-            f"at the default evaluation scale with {NUM_BATCHES} batches, "
-            f"unobserved vs TraceRecorder attached, best of {REPEATS} runs each",
-            "entries": report,
-            "aggregate_ratio": aggregate,
-            "ceiling": TRACE_CEILING,
-        })
+    _merge_baseline("trace", {
+        "description": "one cell per fidelity tier (scalar/vector/packet) "
+        f"at the default evaluation scale with {NUM_BATCHES} batches, "
+        f"unobserved vs TraceRecorder attached, best of {REPEATS} runs each",
+        "entries": report,
+        "aggregate_ratio": aggregate,
+        "ceiling": TRACE_CEILING,
+    })
 
     assert aggregate <= TRACE_CEILING, (
         f"trace overhead {aggregate:.3f}x above the {TRACE_CEILING}x ceiling"
@@ -188,16 +187,15 @@ def test_null_overhead(benchmark):
     print(f"aggregate NullRecorder overhead: {100.0 * aggregate:.3f}% "
           f"(ceiling {100.0 * NULL_CEILING:.0f}%)")
 
-    if not SMOKE:
-        _merge_baseline("null", {
-            "description": "vector-engine sessions at the default evaluation "
-            f"scale with {NUM_BATCHES} batches: per-check cost of the "
-            "NullRecorder attribute test times the traced event volume "
-            "(an upper bound on checks paid), over the measured wall time",
-            "entries": rows,
-            "aggregate_overhead_fraction": aggregate,
-            "ceiling": NULL_CEILING,
-        })
+    _merge_baseline("null", {
+        "description": "vector-engine sessions at the default evaluation "
+        f"scale with {NUM_BATCHES} batches: per-check cost of the "
+        "NullRecorder attribute test times the traced event volume "
+        "(an upper bound on checks paid), over the measured wall time",
+        "entries": rows,
+        "aggregate_overhead_fraction": aggregate,
+        "ceiling": NULL_CEILING,
+    })
 
     assert aggregate <= NULL_CEILING, (
         f"NullRecorder overhead {100.0 * aggregate:.3f}% above the "

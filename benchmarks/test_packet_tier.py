@@ -24,7 +24,7 @@ import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -57,7 +57,7 @@ def _merge_baseline(section: str, payload: dict) -> None:
     data["recorded_unix"] = int(time.time())
     data["host"] = bench_environment()
     data[section] = payload
-    BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
+    write_baseline(BASELINE_PATH, data)
 
 
 def _session(name, engine):
@@ -127,16 +127,15 @@ def test_packet_overhead(benchmark):
     ))
     print(f"aggregate packet-tier overhead: {aggregate:.2f}x (ceiling {OVERHEAD_CEILING}x)")
 
-    if not SMOKE:
-        _merge_baseline("overhead", {
-            "description": "fig12-scale replay (model "
-            f"{MODEL}, meta trace, {NUM_BATCHES} batches at the default "
-            "evaluation scale), scalar engine vs fidelity='packet' with "
-            f"unbounded buffers, best of {REPEATS} runs each",
-            "entries": rows,
-            "aggregate_overhead": aggregate,
-            "ceiling": OVERHEAD_CEILING,
-        })
+    _merge_baseline("overhead", {
+        "description": "fig12-scale replay (model "
+        f"{MODEL}, meta trace, {NUM_BATCHES} batches at the default "
+        "evaluation scale), scalar engine vs fidelity='packet' with "
+        f"unbounded buffers, best of {REPEATS} runs each",
+        "entries": rows,
+        "aggregate_overhead": aggregate,
+        "ceiling": OVERHEAD_CEILING,
+    })
 
     assert aggregate <= OVERHEAD_CEILING, (
         f"packet-tier overhead {aggregate:.2f}x above the {OVERHEAD_CEILING}x ceiling"
@@ -188,13 +187,12 @@ def test_congestion_divergence(benchmark):
         float_format="{:,.2f}",
     ))
 
-    if not SMOKE:
-        _merge_baseline("congestion", {
-            "description": "catalog congestion scenarios (quick scale) vs "
-            "their analytic twins: completion-time divergence and the "
-            "queueing counters behind it",
-            "entries": rows,
-        })
+    _merge_baseline("congestion", {
+        "description": "catalog congestion scenarios (quick scale) vs "
+        "their analytic twins: completion-time divergence and the "
+        "queueing counters behind it",
+        "entries": rows,
+    })
 
     for row in rows:
         name = row["scenario"]

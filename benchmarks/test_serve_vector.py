@@ -14,12 +14,11 @@ Set ``REPRO_BENCH_SMOKE=1`` for a shorter session with relaxed floors and
 no baseline file.
 """
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -95,25 +94,21 @@ def test_serve_vectorization(benchmark):
     ))
     print(f"serve-path aggregate ({', '.join(SYSTEMS)}): {aggregate:.2f}x")
 
-    if not SMOKE:
-        BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "serve_vector",
-                "description": "open-loop serving session (model "
-                f"{MODEL}, {NUM_BATCHES} batches, poisson arrivals at "
-                f"{CONFIG.qps:,.0f} qps, batch<= {CONFIG.max_batch_size}), "
-                f"scalar vs vector serve path, best of {REPEATS} runs each",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entries": rows,
-                "aggregate": {
-                    "systems": list(SYSTEMS),
-                    "serve_speedup": aggregate,
-                },
-                "floors": {"serve_aggregate": SERVE_FLOOR},
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(BASELINE_PATH, {
+        "benchmark": "serve_vector",
+        "description": "open-loop serving session (model "
+        f"{MODEL}, {NUM_BATCHES} batches, poisson arrivals at "
+        f"{CONFIG.qps:,.0f} qps, batch<= {CONFIG.max_batch_size}), "
+        f"scalar vs vector serve path, best of {REPEATS} runs each",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entries": rows,
+        "aggregate": {
+            "systems": list(SYSTEMS),
+            "serve_speedup": aggregate,
+        },
+        "floors": {"serve_aggregate": SERVE_FLOOR},
+    })
 
     assert aggregate >= SERVE_FLOOR, (
         f"serve-path vector speedup {aggregate:.2f}x below the {SERVE_FLOOR}x floor"

@@ -14,12 +14,11 @@ Set ``REPRO_BENCH_SMOKE=1`` for a shorter session with a relaxed ceiling
 and no baseline file.
 """
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -135,27 +134,23 @@ def test_stream_serve(benchmark):
         f"(ceiling {STREAM_CEILING}x)"
     )
 
-    if not SMOKE:
-        BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "stream_serve",
-                "description": "open-loop serving + closed-loop replay "
-                f"(model {MODEL}, {NUM_BATCHES} batches, poisson arrivals "
-                f"at {CONFIG.qps:,.0f} qps, batch<= {CONFIG.max_batch_size}), "
-                "eager vs out-of-core streaming workload, best of "
-                f"{REPEATS} runs each; metrics asserted bit-identical",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entries": rows,
-                "aggregate": {
-                    "systems": list(SYSTEMS),
-                    "serve_ratio": serve_ratio,
-                    "run_ratio": run_ratio,
-                },
-                "ceilings": {"stream_over_eager": STREAM_CEILING},
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(BASELINE_PATH, {
+        "benchmark": "stream_serve",
+        "description": "open-loop serving + closed-loop replay "
+        f"(model {MODEL}, {NUM_BATCHES} batches, poisson arrivals "
+        f"at {CONFIG.qps:,.0f} qps, batch<= {CONFIG.max_batch_size}), "
+        "eager vs out-of-core streaming workload, best of "
+        f"{REPEATS} runs each; metrics asserted bit-identical",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entries": rows,
+        "aggregate": {
+            "systems": list(SYSTEMS),
+            "serve_ratio": serve_ratio,
+            "run_ratio": run_ratio,
+        },
+        "ceilings": {"stream_over_eager": STREAM_CEILING},
+    })
 
     assert serve_ratio <= STREAM_CEILING, (
         f"streaming serve costs {serve_ratio:.2f}x eager "

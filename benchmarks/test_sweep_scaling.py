@@ -18,12 +18,11 @@ the serial path, pins the wall-clock floor, and records the
 fewer repetitions, a relaxed floor and no baseline file.
 """
 
-import json
 import os
 import pathlib
 import time
 
-from conftest import bench_environment, run_once
+from conftest import bench_environment, run_once, write_baseline
 
 from repro.api.session import Simulation, clear_cache
 from repro.api.sweep import Sweep, shutdown_worker_pool
@@ -111,24 +110,20 @@ def test_sweep_scaling(benchmark):
         f"({row['speedup']:.2f}x)"
     )
 
-    if not SMOKE:
-        BASELINE_PATH.write_text(json.dumps(
-            {
-                "benchmark": "sweep_scaling",
-                "description": f"{row['points']}-point parallel sweep "
-                f"({len(MEASURED_GRID['system'])} systems x "
-                f"{len(MEASURED_GRID['batch_size'])} batch sizes, quick "
-                "scale, vector engine) after a workload-sharing warm-up "
-                "sweep: legacy fork-per-run pool vs the persistent chunked "
-                f"pool, {PROCESSES} workers, best of {REPEATS} sequences "
-                "each",
-                "recorded_unix": int(time.time()),
-                "host": bench_environment(),
-                "entry": row,
-                "floors": {"sweep_speedup": SWEEP_FLOOR},
-            },
-            indent=2,
-        ) + "\n")
+    write_baseline(BASELINE_PATH, {
+        "benchmark": "sweep_scaling",
+        "description": f"{row['points']}-point parallel sweep "
+        f"({len(MEASURED_GRID['system'])} systems x "
+        f"{len(MEASURED_GRID['batch_size'])} batch sizes, quick "
+        "scale, vector engine) after a workload-sharing warm-up "
+        "sweep: legacy fork-per-run pool vs the persistent chunked "
+        f"pool, {PROCESSES} workers, best of {REPEATS} sequences "
+        "each",
+        "recorded_unix": int(time.time()),
+        "host": bench_environment(),
+        "entry": row,
+        "floors": {"sweep_speedup": SWEEP_FLOOR},
+    })
 
     assert row["speedup"] >= SWEEP_FLOOR, (
         f"persistent sweep engine {row['speedup']:.2f}x below the {SWEEP_FLOOR}x floor"

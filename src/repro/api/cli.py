@@ -14,7 +14,8 @@ Subcommands:
 * ``figures`` — regenerate every figure/table of the paper (subsumes the
   old ``python -m repro.experiments.runner``)
 * ``bench`` — run the performance benchmark suite and record/update the
-  ``BENCH_*.json`` baselines (``--smoke`` for the relaxed CI mode)
+  ``BENCH_*.json`` baselines, the only way they are written (``--smoke``
+  for the relaxed CI mode, which records nothing)
 * ``scenario`` — the named-scenario catalog (workload mixes, popularity
   drift, trace files, fault injection): ``python -m repro scenario
   list|run|compare`` (``run --all --smoke`` is the CI guard)
@@ -427,6 +428,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.smoke:
         os.environ["REPRO_BENCH_SMOKE"] = "1"
     smoke = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
+    # The suites write their baselines only under this flag, so a plain
+    # pytest run never rewrites the committed files.
+    os.environ["REPRO_BENCH_RECORD"] = "0" if smoke else "1"
 
     if args.all:
         targets = [str(bench_dir)]
@@ -1019,10 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the performance benchmarks and record BENCH_*.json baselines",
         description="Run the perf benchmark suite (engine vectorization, fabric "
         "kernels, serve path, sweep scaling, workload build) under pytest.  "
-        "Outside smoke mode every suite pins its speedup floors and "
-        "records/updates the BENCH_*.json baseline files at the repository "
-        "root.  Honors REPRO_BENCH_SMOKE=1 (same as --smoke): shorter runs, "
-        "relaxed floors, no baselines written.",
+        "Outside smoke mode every suite pins its speedup floors and, because "
+        "this command sets REPRO_BENCH_RECORD=1, records/updates the "
+        "BENCH_*.json baseline files at the repository root; a plain pytest "
+        "run of benchmarks/ never writes them.  Honors REPRO_BENCH_SMOKE=1 "
+        "(same as --smoke): shorter runs, relaxed floors, no baselines "
+        "written.",
         epilog="examples:\n"
         "  python -m repro bench                      # full run, updates BENCH_*.json\n"
         "  python -m repro bench --smoke              # CI guard\n"

@@ -92,6 +92,29 @@ class RunSpec:
     #: Seed for the router's hashing/tie-breaking decisions.
     fleet_seed: int = 0
 
+    def __post_init__(self) -> None:
+        """Reject out-of-range knobs here, naming the field, instead of clamping them later."""
+        for name in _AT_LEAST_ONE:
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.fleet_shards < 0:
+            raise ValueError(f"fleet_shards must be >= 0, got {self.fleet_shards!r}")
+        # Imported here: repro.fleet imports this module.
+        from repro.fleet.router import ROUTER_POLICIES
+
+        if self.fleet_router not in ROUTER_POLICIES:
+            known = ", ".join(ROUTER_POLICIES)
+            raise ValueError(f"unknown fleet_router {self.fleet_router!r}; expected one of: {known}")
+
+
+#: Count fields of :class:`RunSpec` that must be at least 1 when set
+#: (``None`` means the scale's default).
+_AT_LEAST_ONE = (
+    "batch_size", "num_batches", "pooling_factor",
+    "num_hosts", "num_fabric_switches", "num_cxl_devices",
+)
+
 
 def system_label(system: SystemLike) -> str:
     """Display label of a system axis value (name string or factory)."""
@@ -836,16 +859,8 @@ class Simulation:
         tie-breaking.  Composes with every other knob — engines,
         streaming, faults, packet fidelity, observability.
         """
-        from repro.fleet.router import ROUTER_POLICIES
-
-        shards = int(shards)
-        if shards < 0:
-            raise ValueError("fleet shard count must be non-negative")
-        changes: Dict[str, Any] = {"fleet_shards": shards}
+        changes: Dict[str, Any] = {"fleet_shards": int(shards)}
         if router is not None:
-            if router not in ROUTER_POLICIES:
-                known = ", ".join(ROUTER_POLICIES)
-                raise ValueError(f"unknown router policy {router!r}; expected one of: {known}")
             changes["fleet_router"] = router
         if seed is not None:
             changes["fleet_seed"] = int(seed)
@@ -857,12 +872,7 @@ class Simulation:
 
     def router(self, policy: str) -> "Simulation":
         """Select the fleet's request-routing policy (see :meth:`fleet`)."""
-        from repro.fleet.router import ROUTER_POLICIES
-
-        if policy not in ROUTER_POLICIES:
-            known = ", ".join(ROUTER_POLICIES)
-            raise ValueError(f"unknown router policy {policy!r}; expected one of: {known}")
-        return self._set(fleet_router=str(policy))
+        return self._set(fleet_router=policy)
 
     def packet(self, config: Optional[Any] = None, **knobs: Any) -> "Simulation":
         """Configure the packet tier and select ``engine("packet")``.

@@ -26,12 +26,20 @@ Routers are small frozen dataclasses (picklable, hashable — they ride
 inside :class:`~repro.api.session.RunSpec`); :meth:`Router.bind`
 instantiates the per-pass mutable state so one router object can be
 shared by every shard view and every worker process.
+
+A bound router routes a whole window of bags at once:
+:meth:`BoundRouter.route` takes the five key columns of
+:func:`_request_key` (table, sample, length, first row, last row) and
+returns one shard per bag, in numpy.  The scalar :func:`_mix64` and
+:func:`_request_key` stay the reference the columns are tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "ROUTER_POLICIES",
@@ -42,6 +50,7 @@ __all__ = [
     "TableAffinityRouter",
     "TablePartition",
     "make_router",
+    "request_keys",
 ]
 
 #: Router policy names accepted by ``Simulation.fleet(...)`` / the CLI.
@@ -80,6 +89,35 @@ def _request_key(request) -> Tuple[int, int, int, int, int]:
     first = int(rows[0]) if len(rows) else -1
     last = int(rows[-1]) if len(rows) else -1
     return (request.table, request.sample, request.num_candidates, first, last)
+
+
+def request_keys(requests: Sequence) -> Tuple[np.ndarray, ...]:
+    """The :func:`_request_key` columns of a request list (``route``'s input)."""
+    keys = np.array([_request_key(request) for request in requests], dtype=np.int64)
+    return tuple(keys.reshape(-1, 5).T)
+
+
+_C1 = np.uint64(0xBF58476D1CE4E5B9)
+_C2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64_columns(state: int, columns: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`_mix64` continued from ``state`` over key columns, one value per bag.
+
+    ``_mix64(*prefix, *key) == _mix64_columns(_mix64(*prefix), key)``
+    element for element: ``uint64`` arithmetic wraps modulo 2**64 like the
+    scalar masks, and an ``int64`` viewed as ``uint64`` is its two's
+    complement, as ``int(value) & _MASK64`` is.
+    """
+    acc = np.full(len(columns[0]), state, dtype=np.uint64)
+    for column in columns:
+        acc += np.asarray(column, dtype=np.int64).view(np.uint64)
+        acc ^= acc >> np.uint64(30)
+        acc *= _C1
+        acc ^= acc >> np.uint64(27)
+        acc *= _C2
+        acc ^= acc >> np.uint64(31)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -125,7 +163,7 @@ class TablePartition:
 
 
 class BoundRouter:
-    """A router bound to a fleet shape: ``route(request) -> shard``.
+    """A router bound to a fleet shape: ``route(*key columns) -> shards``.
 
     Holds whatever per-pass mutable state the policy needs (the
     power-of-two-choices load counters); every replay pass over a stream
@@ -137,13 +175,26 @@ class BoundRouter:
         self.num_shards = num_shards
         self.partition = TablePartition(num_tables, num_shards)
 
-    def route(self, request) -> int:
+    def route(
+        self,
+        table: np.ndarray,
+        sample: np.ndarray,
+        length: np.ndarray,
+        first: np.ndarray,
+        last: np.ndarray,
+    ) -> np.ndarray:
+        """The shard of every bag of one window, as an ``int64`` array.
+
+        The columns are :func:`_request_key` per bag, in stream order;
+        stateful policies carry their state from one window to the next.
+        """
         raise NotImplementedError
 
 
 class _BoundHash(BoundRouter):
-    def route(self, request) -> int:
-        return _mix64(self.policy.seed, *_request_key(request)) % self.num_shards
+    def route(self, table, sample, length, first, last) -> np.ndarray:
+        mixed = _mix64_columns(_mix64(self.policy.seed), (table, sample, length, first, last))
+        return (mixed % np.uint64(self.num_shards)).astype(np.int64)
 
 
 class _BoundPowerOfTwo(BoundRouter):
@@ -151,26 +202,42 @@ class _BoundPowerOfTwo(BoundRouter):
         super().__init__(policy, num_shards, num_tables)
         self.loads = [0] * num_shards
 
-    def route(self, request) -> int:
-        key = _request_key(request)
-        seed = self.policy.seed
-        first = _mix64(seed, 1, *key) % self.num_shards
-        second = _mix64(seed, 2, *key) % self.num_shards
-        if self.loads[first] < self.loads[second]:
-            choice = first
-        elif self.loads[second] < self.loads[first]:
-            choice = second
-        else:
-            # Equal load (including first == second): a seeded coin picks,
-            # so ties never resolve by shard index or enumeration order.
-            choice = first if _mix64(seed, 3, *key) & 1 else second
-        self.loads[choice] += request.num_candidates
-        return choice
+    def route(self, table, sample, length, first, last) -> np.ndarray:
+        key = (table, sample, length, first, last)
+        seed, shards = self.policy.seed, np.uint64(self.num_shards)
+        firsts = (_mix64_columns(_mix64(seed, 1), key) % shards).tolist()
+        seconds = (_mix64_columns(_mix64(seed, 2), key) % shards).tolist()
+        coins = (_mix64_columns(_mix64(seed, 3), key) & np.uint64(1)).tolist()
+        loads = self.loads
+        choices = []
+        # Each choice depends on the loads the previous ones left, so only
+        # this comparison runs per bag.
+        for one, two, coin, weight in zip(firsts, seconds, coins, np.asarray(length).tolist()):
+            if loads[one] < loads[two]:
+                choice = one
+            elif loads[two] < loads[one]:
+                choice = two
+            else:
+                # Equal load (including one == two): a seeded coin picks,
+                # so ties never resolve by shard index or enumeration order.
+                choice = one if coin else two
+            loads[choice] += weight
+            choices.append(choice)
+        return np.array(choices, dtype=np.int64)
 
 
 class _BoundTableAffinity(BoundRouter):
-    def route(self, request) -> int:
-        return self.partition.shard_of_table(request.table)
+    def __init__(self, policy: "Router", num_shards: int, num_tables: int) -> None:
+        super().__init__(policy, num_shards, num_tables)
+        self.owner = np.array(
+            [self.partition.shard_of_table(t) for t in range(num_tables)], dtype=np.int64
+        )
+
+    def route(self, table, sample, length, first, last) -> np.ndarray:
+        table = np.asarray(table, dtype=np.int64)
+        if table.size and not 0 <= int(table.min()) <= int(table.max()) < len(self.owner):
+            raise ValueError(f"table out of range [0, {len(self.owner)})")
+        return self.owner[table]
 
 
 @dataclass(frozen=True)
@@ -181,9 +248,6 @@ class Router:
 
     #: Policy name as accepted by :func:`make_router` / the CLI.
     policy = ""
-    #: True when every request lands on the shard owning its table —
-    #: shard views use this to slice streams by table range up front.
-    table_affine = False
 
     def bind(self, num_shards: int, num_tables: int) -> BoundRouter:
         """Bind to a fleet shape, creating fresh per-pass routing state."""
@@ -215,7 +279,6 @@ class TableAffinityRouter(Router):
     """Route by table ownership: requests never leave their table's shard."""
 
     policy = "table-affinity"
-    table_affine = True
 
     def bind(self, num_shards: int, num_tables: int) -> BoundRouter:
         return _BoundTableAffinity(self, num_shards, num_tables)

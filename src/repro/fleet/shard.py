@@ -11,20 +11,23 @@ fleet-specific code.
 Two invariants make fleet results trustworthy:
 
 * **Global request ids.**  A shard view filters, never renumbers: the
-  surviving requests are the *same objects* (same ids, hosts, addresses)
+  surviving requests equal (same ids, hosts, rows, addresses) the ones
   the base workload would produce, so a 1-shard fleet replays a stream
   bit-identical to the plain single-system run, and the union of all
   shards' requests is exactly the base workload — no dupes, no gaps.
 * **O(window) residency.**  Streaming shard views filter window by
   window over the base's one shared stream handle; only the active
   window is ever resident, and the view pickles as the base's small
-  path+range handle plus the router (a few hundred bytes — workers
-  never receive trace bytes).
+  stream handle plus the router (a few hundred bytes — workers never
+  receive trace bytes).
 
-Table-affinity shard views additionally slice the stream by table range
-*before* address resolution (the range-sharded fast path): bags of
-tables outside the shard's partition range are counted for id
-continuity but never flattened.
+Streaming views route, then flatten, under every policy: each window of
+the base stream arrives as bag columns
+(:meth:`~repro.traces.workload.StreamingWorkload.iter_bags`), one
+:meth:`~repro.fleet.router.BoundRouter.route` call assigns all of its
+bags, and only the shard's own bags are resolved to addresses or built
+into requests.  The request count and the hotness profile read the kept
+bags' arrays and build no request at all.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.fleet.router import Router, TableAffinityRouter, TablePartition
-from repro.traces.workload import SLSRequest, StreamingWorkload, flatten_table_bags
+from repro.fleet.router import Router, request_keys
+from repro.traces.workload import SLSRequest, WindowBags
 
 __all__ = ["ShardWorkload", "shard_views"]
 
@@ -99,12 +102,6 @@ class ShardWorkload:
     def _bind(self):
         return self.router.bind(self.num_shards, self.address_space.num_tables)
 
-    @property
-    def table_range(self):
-        """This shard's owned table range under the fleet's partition."""
-        partition = TablePartition(self.address_space.num_tables, self.num_shards)
-        return partition.range_of(self.shard)
-
     # ------------------------------------------------------------------
     # Request access
     # ------------------------------------------------------------------
@@ -122,12 +119,18 @@ class ShardWorkload:
                 "iterate the view (or iter_windows()) instead"
             )
         if self._requests is None:
-            bound = self._bind()
+            requests = self.base.requests
+            shards = self._bind().route(*request_keys(requests)).tolist()
             self._requests = [
-                request for request in self.base.requests
-                if bound.route(request) == self.shard
+                request for request, shard in zip(requests, shards) if shard == self.shard
             ]
         return self._requests
+
+    def _iter_own_bags(self, window_batches: Optional[int] = None) -> Iterator[WindowBags]:
+        """Route each window of the base stream once; yield this shard's bags of it."""
+        bound = self._bind()
+        for bags in self.base.iter_bags(window_batches):
+            yield bags.take(bound.route(*bags.keys()) == self.shard)
 
     def iter_windows(
         self, window_batches: Optional[int] = None
@@ -136,48 +139,9 @@ class ShardWorkload:
         if not self.streaming:
             yield self.requests
             return
-        if self.router.table_affine and isinstance(self.base, StreamingWorkload):
-            yield from self._iter_table_range_windows(window_batches)
-            return
-        bound = self._bind()
-        for window in self.base.iter_windows(window_batches):
-            yield [request for request in window if bound.route(request) == self.shard]
-
-    def _iter_table_range_windows(
-        self, window_batches: Optional[int]
-    ) -> Iterator[List[SLSRequest]]:
-        """Range-sharded stream slice: flatten only this shard's tables.
-
-        Bags of foreign tables are *counted* (to keep the global request
-        ids identical to the base flattening) but never resolved into
-        addresses or request objects — the per-shard flattening cost
-        scales with the shard's own table range, not the whole trace.
-        """
-        base = self.base
-        lo, hi = self.table_range
-        space = base.address_space
-        row_bytes = base.model.embedding_row_bytes
-        host_of_sample = base._host_of_sample()
-        if window_batches is None:
-            window_batches = base.window_batches
-        request_id = 0
-        for window in base.stream.windows(window_batches):
-            requests: List[SLSRequest] = []
-            for batch in window:
-                for table in range(batch.num_tables):
-                    indices = batch.indices_per_table[table]
-                    offsets = batch.offsets_per_table[table]
-                    if not lo <= table < hi:
-                        bounds = np.concatenate([np.asarray(offsets), [len(indices)]])
-                        request_id += int(np.count_nonzero(np.diff(bounds)))
-                        continue
-                    indices = indices.astype(np.int64)
-                    table_addresses = space.row_addresses(table, indices)
-                    request_id = flatten_table_bags(
-                        requests, request_id, table, indices, offsets,
-                        table_addresses, row_bytes, host_of_sample,
-                    )
-            yield requests
+        space, row_bytes = self.address_space, self.model.embedding_row_bytes
+        for bags in self._iter_own_bags(window_batches):
+            yield bags.requests(space, row_bytes)
 
     def __iter__(self) -> Iterator[SLSRequest]:
         return chain.from_iterable(self.iter_windows())
@@ -185,25 +149,32 @@ class ShardWorkload:
     def iter_address_arrays(self) -> Iterator[np.ndarray]:
         """This shard's addresses in request order, one array per window.
 
-        The hotness-profiling pass consumes these; concatenating the kept
-        requests' own addresses keeps the profile bit-identical to
-        profiling the equivalent eager shard (same counts, same
-        first-occurrence order).
+        The hotness-profiling pass consumes these; they are the kept
+        requests' own addresses back to back, so the profile is
+        bit-identical to profiling the equivalent eager shard (same
+        counts, same first-occurrence order).
         """
-        for window in self.iter_windows():
-            if window:
-                yield np.concatenate([request.addresses for request in window])
+        if not self.streaming:
+            if self.requests:
+                yield np.concatenate([request.addresses for request in self.requests])
+            return
+        for bags in self._iter_own_bags():
+            if len(bags):
+                yield bags.addresses(self.address_space)
 
     # ------------------------------------------------------------------
     # Whole-shard aggregates (one filtered pass, cached)
     # ------------------------------------------------------------------
     def _scanned(self) -> dict:
         if self._scan is None:
-            num_requests = 0
-            total_lookups = 0
-            for window in self.iter_windows():
-                num_requests += len(window)
-                total_lookups += int(sum(r.num_candidates for r in window))
+            if self.streaming:
+                num_requests = total_lookups = 0
+                for bags in self._iter_own_bags():
+                    num_requests += len(bags)
+                    total_lookups += int(bags.length.sum())
+            else:
+                num_requests = len(self.requests)
+                total_lookups = sum(request.num_candidates for request in self.requests)
             self._scan = {"num_requests": num_requests, "total_lookups": total_lookups}
         return self._scan
 

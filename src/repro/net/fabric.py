@@ -18,6 +18,7 @@ changes occupancy, not just the analytic price.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, List, Mapping, Optional
 
@@ -60,8 +61,8 @@ class PacketConfig:
             raise ValueError("capacity must be >= 0")
         if self.policy not in POLICIES:
             raise ValueError(f"unknown queue policy {self.policy!r}; expected one of {POLICIES}")
-        if self.retry_ns <= 0:
-            raise ValueError("retry_ns must be positive")
+        if not math.isfinite(self.retry_ns) or self.retry_ns <= 0:
+            raise ValueError(f"retry_ns must be positive and finite, got {self.retry_ns!r}")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         if self.hop_capacity is not None and self.hop_capacity < 0:

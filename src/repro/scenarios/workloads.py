@@ -25,10 +25,8 @@ picklable (they ship to sweep workers) and JSON round-trippable.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
-
-import numpy as np
 
 from repro.config import MODEL_CONFIGS, ModelConfig, WorkloadConfig
 from repro.memsys.address_space import AddressSpace
@@ -37,7 +35,7 @@ from repro.traces.files import workload_from_trace
 from repro.traces.meta import generate_meta_like_trace
 from repro.traces.stream import DEFAULT_WINDOW_BATCHES
 from repro.traces.synthetic import TraceDistribution
-from repro.traces.workload import SLSRequest, SLSWorkload, flatten_table_bags
+from repro.traces.workload import SLSRequest, SLSWorkload, WindowBags
 
 
 def resolve_model(spec) -> ModelConfig:
@@ -281,37 +279,23 @@ class MultiTenantWorkload:
             table_cursor += tenant_models[index].num_tables
             host_cursor += tenant.hosts
 
-        # Tenants map samples to their own dedicated host range.
-        def tenant_host_fn(index: int, tenant: TenantSpec):
-            base, hosts = host_offsets[index], tenant.hosts
-
-            def host_of_sample(sample: int) -> int:
-                return base + (sample % hosts)
-
-            return host_of_sample
-
-        host_fns = [tenant_host_fn(i, t) for i, t in enumerate(self.tenants)]
-
-        # Interleave by batch index so tenants contend from the first tick;
-        # bag flattening is the shared path every workload source uses.
+        # Interleave by batch index so tenants contend from the first tick.
+        # Each batch's bags follow the one bag rule, then move to the
+        # tenant's tables and host range in the combined space.
         requests: List[SLSRequest] = []
-        request_id = 0
         rounds = max(len(batches) for batches in tenant_batches)
         for round_index in range(rounds):
             for index, tenant in enumerate(self.tenants):
                 batches = tenant_batches[index]
                 if round_index >= len(batches):
                     continue
-                batch = batches[round_index]
-                for table in range(batch.num_tables):
-                    indices = batch.indices_per_table[table].astype(np.int64)
-                    offsets = batch.offsets_per_table[table]
-                    global_table = table_offsets[index] + table
-                    table_addresses = space.row_addresses(global_table, indices)
-                    request_id = flatten_table_bags(
-                        requests, request_id, global_table, indices, offsets,
-                        table_addresses, row_bytes, host_fns[index],
-                    )
+                bags = WindowBags.of([batches[round_index]], len(requests), 0, tenant.hosts)
+                bags = replace(
+                    bags,
+                    table=bags.table + table_offsets[index],
+                    host=bags.host + host_offsets[index],
+                )
+                requests.extend(bags.requests(space, row_bytes))
         return SLSWorkload(
             model=combined,
             address_space=space,

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.config import WorkloadConfig
 from repro.traces.meta import TraceBatch
-from repro.traces.synthetic import _zipfian_indices
+from repro.traces.synthetic import _hot_or_tail_rows
 from repro.traces.workload import SLSWorkload, workload_from_batches
 
 
@@ -68,10 +68,9 @@ def generate_drifting_trace(
             lengths = rng.poisson(table_pooling[table], size=config.batch_size).clip(1, None)
             offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(np.int64)
             count = int(lengths.sum())
-            is_hot = rng.random(count) < hot_probability
-            hot_choice = hot_set[rng.integers(0, hot_rows, size=count)]
-            cold_choice = _zipfian_indices(rng, count, model.num_embeddings, alpha=0.8)
-            indices_per_table.append(np.where(is_hot, hot_choice, cold_choice).astype(np.int64))
+            indices_per_table.append(_hot_or_tail_rows(
+                rng, count, hot_set, hot_probability, model.num_embeddings
+            ))
             offsets_per_table.append(offsets)
         batches.append(
             TraceBatch(indices_per_table=indices_per_table, offsets_per_table=offsets_per_table)

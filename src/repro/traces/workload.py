@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,43 +121,136 @@ class SLSWorkload:
         return int(np.unique(addresses // page_size).size)
 
 
-def flatten_table_bags(
-    requests: List[SLSRequest],
-    request_id: int,
-    table: int,
-    indices: np.ndarray,
-    offsets: np.ndarray,
-    table_addresses: np.ndarray,
-    row_bytes: int,
-    host_of_sample: Callable[[int], int],
-) -> int:
-    """Append one :class:`SLSRequest` per non-empty bag of one (batch, table).
+@dataclass(frozen=True)
+class WindowBags:
+    """The non-empty bags of a window of trace batches as columns.
 
-    The single bag-flattening loop every workload source shares —
-    :func:`workload_from_batches` and the multi-tenant provider both
-    delegate here, so bag semantics (bounds, empty-bag skip, address
-    views) cannot drift between them.  ``host_of_sample`` maps a sample
-    index to its issuing host; returns the next free request id.
+    One entry per bag, in request order (batch, then table, then sample),
+    with the global request id and the host it gets.  ``rows`` holds the
+    window's indices back to back; bag ``i`` reads ``rows[start[i]:start[i]
+    + length[i]]``.  This is the one bag rule: every workload source builds
+    its :class:`SLSRequest` objects through :meth:`requests`, so bag
+    semantics (bounds, empty-bag skip, ids, hosts) cannot drift between
+    sources.  A consumer that keeps only some bags (:meth:`take`, a fleet
+    shard view) resolves addresses and builds requests for those alone.
     """
-    bounds = np.concatenate([offsets, [len(indices)]])
-    for sample in range(len(offsets)):
-        start, end = int(bounds[sample]), int(bounds[sample + 1])
-        rows = indices[start:end]
-        if len(rows) == 0:
-            continue
-        requests.append(
-            SLSRequest(
+
+    request_id: np.ndarray
+    host: np.ndarray
+    table: np.ndarray
+    sample: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def of(
+        cls, window: Sequence[TraceBatch], first_id: int, host_id: int = 0, num_hosts: int = 1
+    ) -> "WindowBags":
+        """The bags of one window of trace batches, numbered from ``first_id``.
+
+        Bag ``s`` of a (batch, table) runs from ``offsets[s]`` to the next
+        offset, the last one to the end of the indices; empty bags get no
+        id; bag ``s`` goes to host ``(host_id + s) % num_hosts``.
+        """
+        groups = [
+            (table, batch.indices_per_table[table], batch.offsets_per_table[table])
+            for batch in window
+            for table in range(batch.num_tables)
+        ]
+        if not groups:
+            empty = np.zeros(0, dtype=np.int64)
+            return cls(empty, empty, empty, empty, empty, empty, empty)
+        sizes = np.array([len(indices) for _, indices, _ in groups], dtype=np.int64)
+        counts = np.array([len(offsets) for _, _, offsets in groups], dtype=np.int64)
+        rows = np.concatenate([indices for _, indices, _ in groups]).astype(np.int64, copy=False)
+        offsets = np.concatenate([offsets for _, _, offsets in groups]).astype(np.int64, copy=False)
+        group_of_bag = np.repeat(np.arange(len(groups)), counts)
+        size = sizes[group_of_bag]
+        # Each bag ends where the next bag of its group starts; a group's last
+        # bag ends at the group's end.  Clipping keeps Python slice semantics.
+        following = np.empty_like(offsets)
+        following[:-1] = offsets[1:]
+        last_bag = np.cumsum(counts)[counts > 0] - 1
+        following[last_bag] = sizes[counts > 0]
+        begin = np.clip(offsets, 0, size)
+        length = np.clip(following, begin, size) - begin
+        first_bag = np.cumsum(counts) - counts
+        sample = np.arange(len(offsets)) - np.repeat(first_bag, counts)
+        table = np.repeat(np.array([table for table, _, _ in groups], dtype=np.int64), counts)
+        start = (np.cumsum(sizes) - sizes)[group_of_bag] + begin
+        kept = length > 0
+        sample = sample[kept]
+        return cls(
+            request_id=first_id + np.arange(int(np.count_nonzero(kept)), dtype=np.int64),
+            host=(host_id + sample) % max(1, num_hosts),
+            table=table[kept],
+            sample=sample,
+            start=start[kept],
+            length=length[kept],
+            rows=rows,
+        )
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def keys(self) -> Tuple[np.ndarray, ...]:
+        """Every bag's routing key: table, sample, length, first row, last row."""
+        last = self.start + self.length - 1
+        return (self.table, self.sample, self.length, self.rows[self.start], self.rows[last])
+
+    def take(self, mask: np.ndarray) -> "WindowBags":
+        """The bags where ``mask`` holds (sharing the window's ``rows``)."""
+        return WindowBags(
+            self.request_id[mask], self.host[mask], self.table[mask],
+            self.sample[mask], self.start[mask], self.length[mask], self.rows,
+        )
+
+    def _resolved(self, space: AddressSpace) -> Tuple[np.ndarray, np.ndarray]:
+        """The bags' rows back to back, in request order, and their addresses.
+
+        Bags come in (batch, table) order, so each run of bags on one table
+        is resolved in one call and no per-row table array is built.
+        """
+        total = int(self.length.sum())
+        packed_start = np.cumsum(self.length) - self.length
+        if total == len(self.rows) and np.array_equal(packed_start, self.start):
+            # The bags tile the window's rows in order: nothing to gather.
+            rows = self.rows
+        else:
+            rows = self.rows[np.arange(total) + np.repeat(self.start - packed_start, self.length)]
+        addresses = np.empty(len(rows), dtype=np.int64)
+        run = np.flatnonzero(np.diff(self.table, prepend=-1))
+        begin = packed_start[run]
+        end = np.append(begin[1:], len(rows))
+        for table, lo, hi in zip(self.table[run].tolist(), begin.tolist(), end.tolist()):
+            addresses[lo:hi] = space.row_addresses(table, rows[lo:hi])
+        return rows, addresses
+
+    def addresses(self, space: AddressSpace) -> np.ndarray:
+        """The bags' row addresses back to back, in request order."""
+        return self._resolved(space)[1]
+
+    def requests(self, space: AddressSpace, row_bytes: int) -> List[SLSRequest]:
+        """One :class:`SLSRequest` per bag; its rows and addresses are views."""
+        rows, addresses = self._resolved(space)
+        requests: List[SLSRequest] = []
+        begin = 0
+        for request_id, host, table, sample, end in zip(
+            self.request_id.tolist(), self.host.tolist(), self.table.tolist(),
+            self.sample.tolist(), np.cumsum(self.length).tolist(),
+        ):
+            requests.append(SLSRequest(
                 request_id=request_id,
-                host_id=host_of_sample(sample),
+                host_id=host,
                 table=table,
                 sample=sample,
-                rows=rows,
-                addresses=table_addresses[start:end],
+                rows=rows[begin:end],
+                addresses=addresses[begin:end],
                 row_bytes=row_bytes,
-            )
-        )
-        request_id += 1
-    return request_id
+            ))
+            begin = end
+        return requests
 
 
 def workload_from_batches(
@@ -185,24 +278,11 @@ def workload_from_batches(
     """
     space = space or AddressSpace.for_model(model)
     row_bytes = model.embedding_row_bytes
-    hosts = max(1, num_hosts)
-
-    def host_of_sample(sample: int) -> int:
-        return (host_id + sample) % hosts
-
     requests: List[SLSRequest] = []
-    request_id = 0
+    # One batch per window keeps the window's temporaries small.
     for batch in batches:
-        for table in range(batch.num_tables):
-            indices = batch.indices_per_table[table].astype(np.int64)
-            offsets = batch.offsets_per_table[table]
-            # One vectorized address computation per (batch, table); the
-            # per-bag arrays are views into it.
-            table_addresses = space.row_addresses(table, indices)
-            request_id = flatten_table_bags(
-                requests, request_id, table, indices, offsets,
-                table_addresses, row_bytes, host_of_sample,
-            )
+        bags = WindowBags.of([batch], len(requests), host_id, num_hosts)
+        requests.extend(bags.requests(space, row_bytes))
     return SLSWorkload(
         model=model,
         address_space=space,
@@ -220,8 +300,8 @@ class StreamingWorkload:
     The streaming twin of :class:`SLSWorkload`.  Instead of a materialized
     request list it holds a re-iterable :class:`~repro.traces.stream.BatchStream`
     and flattens one *window* (``window_batches`` trace batches) of
-    :class:`SLSRequest` objects at a time — through the exact
-    :func:`flatten_table_bags` path the eager constructor uses, with the
+    :class:`SLSRequest` objects at a time — through the
+    :class:`WindowBags` rule the eager constructor uses, with the
     same sequential request ids and the same round-robin host assignment,
     so the reconstructed request stream is bit-identical to the eager
     workload built from the same batches.  Only the active window is
@@ -333,40 +413,44 @@ class StreamingWorkload:
     # ------------------------------------------------------------------
     # Lazy request reconstruction
     # ------------------------------------------------------------------
-    def _host_of_sample(self) -> Callable[[int], int]:
-        host_id, hosts = self.host_id, self.num_hosts
+    def iter_bags(self, window_batches: Optional[int] = None) -> Iterator[WindowBags]:
+        """Yield each window as :class:`WindowBags`, building no request.
 
-        def host_of_sample(sample: int) -> int:
-            return (host_id + sample) % hosts
-
-        return host_of_sample
+        Request ids run sequentially across windows and hosts follow the
+        eager round-robin rule, so a consumer keeping some bags of each
+        window (a fleet shard view) rebuilds exactly those requests.
+        """
+        if window_batches is None:
+            window_batches = self.window_batches
+        request_id = 0
+        for window in self.stream.windows(window_batches):
+            bags = WindowBags.of(window, request_id, self.host_id, self.num_hosts)
+            request_id += len(bags)
+            yield bags
 
     def iter_windows(
         self, window_batches: Optional[int] = None
     ) -> Iterator[List[SLSRequest]]:
-        """Yield windows of flattened requests, one window resident at a time.
+        """Yield windows of requests, one window resident at a time.
 
-        Request ids run sequentially across windows and hosts are assigned
-        by the eager round-robin rule, so ``chain(*iter_windows())``
-        reproduces ``materialize().requests`` element for element.
+        Each batch's bags are built by the eager rule, so
+        ``chain(*iter_windows())`` reproduces ``materialize().requests``
+        element for element.  Building batch by batch keeps the
+        temporaries, and the trace batches held, to one batch.
         """
-        space = self.address_space
-        row_bytes = self.model.embedding_row_bytes
-        host_of_sample = self._host_of_sample()
-        request_id = 0
         if window_batches is None:
             window_batches = self.window_batches
-        for window in self.stream.windows(window_batches):
-            requests: List[SLSRequest] = []
-            for batch in window:
-                for table in range(batch.num_tables):
-                    indices = batch.indices_per_table[table].astype(np.int64)
-                    offsets = batch.offsets_per_table[table]
-                    table_addresses = space.row_addresses(table, indices)
-                    request_id = flatten_table_bags(
-                        requests, request_id, table, indices, offsets,
-                        table_addresses, row_bytes, host_of_sample,
-                    )
+        if window_batches <= 0:
+            raise ValueError("window_batches must be positive")
+        space, row_bytes = self.address_space, self.model.embedding_row_bytes
+        requests: List[SLSRequest] = []
+        batches = 0
+        for batches, bags in enumerate(self.iter_bags(1), 1):
+            requests.extend(bags.requests(space, row_bytes))
+            if batches % window_batches == 0:
+                yield requests
+                requests = []
+        if batches % window_batches:
             yield requests
 
     def __iter__(self) -> Iterator[SLSRequest]:
@@ -375,19 +459,16 @@ class StreamingWorkload:
                 yield request
 
     def iter_address_arrays(self) -> Iterator[np.ndarray]:
-        """Per-(batch, table) resolved address arrays, in request order.
+        """Each batch's request addresses back to back, in request order.
 
-        Bags partition each (batch, table) index array completely (offsets
-        start at 0, the last bag ends at the array's end), so concatenating
-        these arrays equals concatenating the eager per-request address
-        arrays — which is what keeps the streaming hotness-profiling pass
-        bit-identical to the eager one, insertion order included.
+        Their concatenation equals the eager per-request address arrays
+        concatenated, which is what keeps the streaming hotness-profiling
+        pass bit-identical to the eager one, insertion order included.
+        One batch is resident at a time.
         """
-        space = self.address_space
-        for batch in self.stream:
-            for table in range(batch.num_tables):
-                indices = batch.indices_per_table[table].astype(np.int64)
-                yield space.row_addresses(table, indices)
+        for bags in self.iter_bags(1):
+            if len(bags):
+                yield bags.addresses(self.address_space)
 
     def unique_pages(self) -> int:
         page_size = self.address_space.page_size
@@ -468,7 +549,7 @@ __all__ = [
     "SLSRequest",
     "SLSWorkload",
     "StreamingWorkload",
+    "WindowBags",
     "build_workload",
-    "flatten_table_bags",
     "workload_from_batches",
 ]

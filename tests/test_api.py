@@ -20,7 +20,7 @@ from repro.api import (
     system_factory,
     unregister_system,
 )
-from repro.api.session import cache_size
+from repro.api.session import RunSpec, cache_size
 from repro.baselines import SYSTEM_FACTORIES
 from repro.baselines.pond import PondSystem
 from repro.config import DEFAULT_SYSTEM
@@ -313,8 +313,47 @@ class TestSimulationBuilder:
 
         config = evaluation_system(TINY_SCALE, local_capacity_bytes=0)
         assert config.local_dram_capacity_bytes == 0
-        workload = Simulation().scale(TINY_SCALE).num_batches(0).build_workload()
-        assert len(workload.requests) == 0
+        # Zero is a valid capacity, so the facade must not swap in a default
+        # (zero counts such as num_batches are rejected by RunSpec instead).
+        config = Simulation().scale(TINY_SCALE).local_capacity(0).build_system_config()
+        assert config.local_dram_capacity_bytes == 0
+
+
+class TestRunSpecValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("batch_size", 0),
+            ("num_batches", 0),
+            ("pooling_factor", 0),
+            ("pooling_factor", -3),
+            ("num_hosts", 0),
+            ("num_fabric_switches", 0),
+            ("num_cxl_devices", 0),
+            ("fleet_shards", -1),
+            ("fleet_router", "round-robin"),
+        ],
+    )
+    def test_run_spec_rejects_an_invalid_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "setter, field",
+        [
+            ("pooling", "pooling_factor"),
+            ("hosts", "num_hosts"),
+            ("devices", "num_cxl_devices"),
+            ("switches", "num_fabric_switches"),
+            ("batch_size", "batch_size"),
+            ("num_batches", "num_batches"),
+        ],
+    )
+    def test_zero_counts_fail_at_the_setter(self, setter, field):
+        session = Simulation().quick()
+        with pytest.raises(ValueError, match=field):
+            getattr(session, setter)(0)
+        assert getattr(session.spec(), field) != 0
 
 
 class TestResultsRoundTrip:

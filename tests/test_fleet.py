@@ -20,6 +20,7 @@ import pickle
 from itertools import chain
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,12 +41,12 @@ from repro.fleet import (
     run_fleet,
     shard_views,
 )
-from repro.fleet.router import _mix64, _request_key
+from repro.fleet.router import _mix64, _request_key, request_keys
 from repro.fleet.shard import ShardWorkload
 from repro.serve.server import ServeConfig
 from repro.traces.files import save_trace, workload_from_trace
 from repro.traces.stream import MemoryBatchStream
-from repro.traces.workload import StreamingWorkload, workload_from_batches
+from repro.traces.workload import SLSRequest, StreamingWorkload, workload_from_batches
 from test_stream import MODEL, assert_requests_equal, random_batches
 
 ROUTERS = [HashRouter(seed=11), PowerOfTwoRouter(seed=11), TableAffinityRouter()]
@@ -53,6 +54,11 @@ ROUTERS = [HashRouter(seed=11), PowerOfTwoRouter(seed=11), TableAffinityRouter()
 
 def _quick():
     return Simulation().quick().num_batches(2)
+
+
+def _route(bound, requests):
+    """Route ``requests`` as one window; one shard per request."""
+    return bound.route(*request_keys(requests)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +106,15 @@ def test_hash_routing_is_stable_under_reordering(
     workload = workload_from_batches(batches, MODEL)
     router = HashRouter(seed=router_seed)
     bound = router.bind(num_shards, MODEL.num_tables)
-    assignment = {id(request): bound.route(request) for request in workload.requests}
+    assignment = {
+        id(request): shard
+        for request, shard in zip(workload.requests, _route(bound, workload.requests))
+    }
     shuffled = list(workload.requests)
     Random(shuffle_seed).shuffle(shuffled)
     rebound = router.bind(num_shards, MODEL.num_tables)
-    for request in shuffled:
-        assert rebound.route(request) == assignment[id(request)]
+    for request, shard in zip(shuffled, _route(rebound, shuffled)):
+        assert shard == assignment[id(request)]
 
 
 def test_power_of_two_tie_breaks_come_from_the_seed():
@@ -117,7 +126,7 @@ def test_power_of_two_tie_breaks_come_from_the_seed():
 
     def assignments(seed):
         bound = PowerOfTwoRouter(seed=seed).bind(num_shards, MODEL.num_tables)
-        return [bound.route(request) for request in requests]
+        return _route(bound, requests)
 
     # Deterministic replay under one seed.
     assert assignments(7) == assignments(7)
@@ -136,7 +145,7 @@ def test_power_of_two_tie_breaks_come_from_the_seed():
         if first == second:
             continue
         bound = PowerOfTwoRouter(seed=seed).bind(num_shards, MODEL.num_tables)
-        choice = bound.route(first_request)
+        [choice] = _route(bound, [first_request])
         assert choice in (first, second)
         picked_first = picked_first or choice == first
         picked_second = picked_second or choice == second
@@ -153,9 +162,89 @@ def test_power_of_two_prefers_the_lighter_shard():
         lighter = None
         if bound.loads[first] != bound.loads[second]:
             lighter = first if bound.loads[first] < bound.loads[second] else second
-        choice = bound.route(request)
+        [choice] = _route(bound, [request])
         if lighter is not None:
             assert choice == lighter
+
+
+# Random bags: any table, any sample, rows anywhere in int64's range.
+BAGS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=MODEL.num_tables - 1),
+        st.integers(min_value=0, max_value=2**16),
+        st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=5),
+    ),
+    max_size=40,
+)
+#: Router seeds: negative, and past the signed 64-bit range.
+SEEDS = st.integers(min_value=-(2**64), max_value=2**65)
+
+
+def _bag_requests(bags):
+    return [
+        SLSRequest(
+            request_id=index, host_id=0, table=table, sample=sample,
+            rows=np.array(rows, dtype=np.int64), addresses=np.zeros(len(rows), dtype=np.int64),
+            row_bytes=MODEL.embedding_row_bytes,
+        )
+        for index, (table, sample, rows) in enumerate(bags)
+    ]
+
+
+def _route_in_windows(bound, requests, cuts):
+    """Route ``requests`` as consecutive windows split at ``cuts``."""
+    bounds = [0] + sorted(cut % (len(requests) + 1) for cut in cuts) + [len(requests)]
+    return [
+        shard
+        for begin, end in zip(bounds, bounds[1:])
+        for shard in _route(bound, requests[begin:end])
+    ]
+
+
+def _power_of_two_reference(seed, num_shards, requests):
+    """The policy one request at a time, on the scalar ``_mix64``."""
+    loads = [0] * num_shards
+    choices = []
+    for request in requests:
+        key = _request_key(request)
+        first = _mix64(seed, 1, *key) % num_shards
+        second = _mix64(seed, 2, *key) % num_shards
+        if loads[first] < loads[second]:
+            choice = first
+        elif loads[second] < loads[first]:
+            choice = second
+        else:
+            choice = first if _mix64(seed, 3, *key) & 1 else second
+        loads[choice] += request.num_candidates
+        choices.append(choice)
+    return choices, loads
+
+
+@given(
+    bags=BAGS,
+    seed=SEEDS,
+    num_shards=st.integers(min_value=1, max_value=9),
+    cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+)
+@settings(max_examples=80, deadline=None)
+def test_window_routing_equals_the_scalar_policies(bags, seed, num_shards, cuts):
+    """Routing whole windows in numpy assigns every bag as the per-request
+    scalar policies do, however the stream is cut into windows (every
+    example starts on a power-of-two tie: all loads are zero)."""
+    requests = _bag_requests(bags)
+    hashed = HashRouter(seed=seed).bind(num_shards, MODEL.num_tables)
+    assert _route_in_windows(hashed, requests, cuts) == [
+        _mix64(seed, *_request_key(request)) % num_shards for request in requests
+    ]
+    balanced = PowerOfTwoRouter(seed=seed).bind(num_shards, MODEL.num_tables)
+    choices, loads = _power_of_two_reference(seed, num_shards, requests)
+    assert _route_in_windows(balanced, requests, cuts) == choices
+    assert balanced.loads == loads
+    affine = TableAffinityRouter(seed=seed).bind(num_shards, MODEL.num_tables)
+    partition = TablePartition(MODEL.num_tables, num_shards)
+    assert _route_in_windows(affine, requests, cuts) == [
+        partition.shard_of_table(request.table) for request in requests
+    ]
 
 
 @given(
@@ -167,8 +256,9 @@ def test_table_affinity_never_leaves_the_shard_range(seed, num_shards):
     batches = random_batches(seed, 3, 3, 4, 3)
     workload = workload_from_batches(batches, MODEL)
     streaming = StreamingWorkload(MemoryBatchStream(batches), MODEL)
+    partition = TablePartition(MODEL.num_tables, num_shards)
     for view in shard_views(streaming, TableAffinityRouter(), num_shards):
-        lo, hi = view.table_range
+        lo, hi = partition.range_of(view.shard)
         for request in view:
             assert lo <= request.table < hi
 
@@ -209,6 +299,32 @@ def test_shard_views_partition_the_trace_exactly(
         # Aggregates partition too.
         assert sum(len(view) for view in views) == len(eager.requests)
         assert sum(view.total_lookups for view in views) == eager.total_lookups
+
+
+def test_streamed_shard_passes_build_only_their_own_requests(monkeypatch):
+    """Counting and hotness passes build no request; the replay pass builds
+    exactly the shard's own requests, never the other shards'."""
+    batches = random_batches(4, 6, 3, 5, 3)
+    built = []
+    build = SLSRequest.__init__
+
+    def counting_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self.request_id)
+
+    monkeypatch.setattr(SLSRequest, "__init__", counting_build)
+    for router in ROUTERS:
+        streaming = StreamingWorkload(MemoryBatchStream(batches), MODEL, window_batches=2)
+        for view in shard_views(streaming, router, 3):
+            built.clear()
+            assert len(view) == view.num_requests
+            assert sum(len(addresses) for addresses in view.iter_address_arrays()) == (
+                view.total_lookups
+            )
+            assert built == [], f"{router.policy}: a counting pass built requests"
+            own = [request.request_id for window in view.iter_windows() for request in window]
+            assert len(own) == len(view)
+            assert built == own, f"{router.policy}: the replay pass built foreign requests"
 
 
 def test_one_shard_view_is_the_whole_workload():

@@ -13,6 +13,7 @@ Three layers of guarantees:
   a degraded link changes the service rate *and* what the queues observe.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -230,6 +231,11 @@ class TestPacketConfig:
             PacketConfig(policy="lifo")
         with pytest.raises(ValueError):
             PacketConfig(retry_ns=-5.0)
+
+    @pytest.mark.parametrize("retry_ns", [math.nan, math.inf, -math.inf, 0.0])
+    def test_retry_ns_must_be_finite_and_positive(self, retry_ns):
+        with pytest.raises(ValueError, match="retry_ns"):
+            PacketConfig(retry_ns=retry_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -295,11 +295,16 @@ class TestWorkloadMixes:
         # (RMC3) the high range and host 1.
         scale = sim.spec().scale
         tables_0 = scale.model("RMC1").num_tables
+        space = workload.address_space
         for request in workload.requests:
             if request.table < tables_0:
                 assert request.host_id == 0
             else:
                 assert request.host_id == 1
+            # Rows resolve in their tenant's region of the combined space.
+            assert request.addresses.tolist() == [
+                space.row_address(request.table, int(row)) for row in request.rows
+            ]
         assert {r.host_id for r in workload.requests} == {0, 1}
         assert workload.model.num_tables == tables_0 + scale.model("RMC3").num_tables
 

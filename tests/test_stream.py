@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import RMC1, WorkloadConfig, scaled_model
+from repro.memsys.address_space import AddressSpace
+from repro.fleet.router import _request_key
 from repro.traces.files import save_criteo_tsv, save_trace, workload_from_trace
 from repro.traces.meta import TraceBatch
 from repro.traces.stream import (
@@ -27,6 +29,7 @@ from repro.traces.stream import (
     TsvBatchStream,
 )
 from repro.traces.workload import (
+    SLSRequest,
     StreamingWorkload,
     build_workload,
     workload_from_batches,
@@ -59,6 +62,37 @@ def random_batches(seed, num_batches, num_tables, batch_size, max_pool):
             )
         )
     return batches
+
+
+def reference_requests(batches, num_hosts=1):
+    """The bag rule as a plain per-bag loop, kept here as the reference.
+
+    Bag ``s`` of a (batch, table) runs from ``offsets[s]`` to the next
+    offset, the last one to the end of the indices; empty bags get no id;
+    bag ``s`` goes to host ``s % num_hosts``; addresses come from the
+    scalar ``row_address``.
+    """
+    space = AddressSpace.for_model(MODEL)
+    requests = []
+    for batch in batches:
+        for table in range(batch.num_tables):
+            indices = np.asarray(batch.indices_per_table[table], dtype=np.int64)
+            bounds = [int(offset) for offset in batch.offsets_per_table[table]] + [len(indices)]
+            for sample in range(len(bounds) - 1):
+                rows = indices[bounds[sample]:bounds[sample + 1]]
+                if len(rows) == 0:
+                    continue
+                addresses = [space.row_address(table, int(row)) for row in rows]
+                requests.append(SLSRequest(
+                    request_id=len(requests),
+                    host_id=sample % num_hosts,
+                    table=table,
+                    sample=sample,
+                    rows=rows,
+                    addresses=np.array(addresses, dtype=np.int64),
+                    row_bytes=MODEL.embedding_row_bytes,
+                ))
+    return requests
 
 
 def assert_requests_equal(eager_requests, streamed_requests):
@@ -97,12 +131,64 @@ def test_streaming_reconstruction_is_bit_identical(
         num_hosts=num_hosts,
         window_batches=window_batches,
     )
+    assert_requests_equal(reference_requests(batches, num_hosts), eager.requests)
     assert_requests_equal(eager.requests, chain(*streaming.iter_windows()))
     # Aggregates agree without materializing a single request.
     assert len(streaming) == len(eager.requests)
     assert streaming.total_lookups == eager.total_lookups
     assert streaming.total_bytes == eager.total_bytes
     assert streaming.unique_pages() == eager.unique_pages()
+    # The profiling pass sees the eager addresses, in order.
+    streamed_addresses = list(streaming.iter_address_arrays())
+    eager_addresses = list(eager.iter_address_arrays())
+    assert len(streamed_addresses) <= num_batches
+    assert np.array_equal(
+        np.concatenate(streamed_addresses or [np.zeros(0, dtype=np.int64)]),
+        np.concatenate(eager_addresses or [np.zeros(0, dtype=np.int64)]),
+    )
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    num_batches=st.integers(min_value=1, max_value=6),
+    num_tables=st.integers(min_value=1, max_value=3),
+    batch_size=st.integers(min_value=1, max_value=5),
+    max_pool=st.integers(min_value=0, max_value=4),
+    window_batches=st.integers(min_value=1, max_value=8),
+    num_hosts=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_bag_windows_rebuild_the_request_windows(
+    seed, num_batches, num_tables, batch_size, max_pool, window_batches, num_hosts
+):
+    """iter_bags() holds each window's bags as columns: their keys, their
+    addresses and the requests rebuilt from any subset of them equal what
+    the reference per-bag loop builds for that window's batches."""
+    batches = random_batches(seed, num_batches, num_tables, batch_size, max_pool)
+    streaming = StreamingWorkload(
+        MemoryBatchStream(batches), MODEL, num_hosts=num_hosts, window_batches=window_batches
+    )
+    space, row_bytes = streaming.address_space, MODEL.embedding_row_bytes
+    reference = reference_requests(batches, num_hosts)
+    window_ends = [
+        len(reference_requests(batches[:end], num_hosts))
+        for end in range(window_batches, num_batches + window_batches, window_batches)
+    ]
+    windows = [reference[begin:end] for begin, end in zip([0] + window_ends, window_ends)]
+    assert [len(window) for window in streaming.iter_windows()] == [len(w) for w in windows]
+    keep = np.random.default_rng(seed)
+    for bags, window in zip_longest(streaming.iter_bags(), windows):
+        assert bags is not None and window is not None, "window count mismatch"
+        assert_requests_equal(window, bags.requests(space, row_bytes))
+        keys = list(zip(*(column.tolist() for column in bags.keys())))
+        assert keys == [_request_key(request) for request in window]
+        if window:
+            assert np.array_equal(
+                bags.addresses(space), np.concatenate([r.addresses for r in window])
+            )
+        mask = keep.random(len(bags)) < 0.5
+        kept = [request for request, kept in zip(window, mask.tolist()) if kept]
+        assert_requests_equal(kept, bags.take(mask).requests(space, row_bytes))
 
 
 @given(

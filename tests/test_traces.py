@@ -58,6 +58,65 @@ class TestDistributions:
         assert counts.max() - counts.min() <= 1
 
 
+def _zipf_reference(rng, count, num_embeddings, alpha):
+    """The bounded-Zipf draw with its tables rebuilt on every call."""
+    ranks = np.arange(1, num_embeddings + 1, dtype=np.float64)
+    cdf = np.cumsum(ranks ** (-alpha))
+    cdf /= cdf[-1]
+    rank_indices = np.searchsorted(cdf, rng.random(count), side="left")
+    permutation = np.random.default_rng(num_embeddings).permutation(num_embeddings)
+    return permutation[rank_indices].astype(np.int64)
+
+
+def _meta_reference(rng, count, num_embeddings):
+    hot_rows = max(1, int(num_embeddings * 0.05))
+    hot_set = np.random.default_rng(num_embeddings + 1).choice(
+        num_embeddings, size=hot_rows, replace=False
+    )
+    is_hot = rng.random(count) < 0.7
+    hot_choice = hot_set[rng.integers(0, hot_rows, size=count)]
+    cold_choice = _zipf_reference(rng, count, num_embeddings, 0.8)
+    return np.where(is_hot, hot_choice, cold_choice).astype(np.int64)
+
+
+class TestMemoizedGenerator:
+    """The hot set and the Zipf tables are cached; the draws must not change."""
+
+    CASES = [(1, 1.05), (2, 0.8), (163, 1.05), (1310, 1.3), (5000, 0.8)]
+
+    @pytest.mark.parametrize("num_embeddings, alpha", CASES)
+    def test_equals_the_uncached_formula(self, num_embeddings, alpha):
+        for count in (1, 7, 900):
+            for _ in range(2):  # the second round is served from the cache
+                cached_rng, reference_rng = np.random.default_rng(count), np.random.default_rng(count)
+                zipf = generate_indices(
+                    TraceDistribution.ZIPFIAN, count, num_embeddings,
+                    rng=cached_rng, zipf_alpha=alpha,
+                )
+                np.testing.assert_array_equal(
+                    zipf, _zipf_reference(reference_rng, count, num_embeddings, alpha)
+                )
+                meta = generate_indices(TraceDistribution.META, count, num_embeddings, rng=cached_rng)
+                np.testing.assert_array_equal(
+                    meta, _meta_reference(reference_rng, count, num_embeddings)
+                )
+                assert zipf.dtype == meta.dtype == np.int64
+                # Both generators are left at the same point of their stream.
+                assert cached_rng.random() == reference_rng.random()
+
+    def test_memoized_arrays_are_read_only(self):
+        from repro.traces.synthetic import _meta_hot_set, _zipf_table
+
+        generate_indices(TraceDistribution.META, 10, 163, rng=np.random.default_rng(0))
+        cdf, permutation = _zipf_table(163, 0.8)
+        for array in (cdf, permutation, _meta_hot_set(163, 8)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+        indices = generate_indices(TraceDistribution.META, 10, 163, rng=np.random.default_rng(0))
+        indices[0] = 1  # results are fresh arrays, not views of the cache
+
+
 class TestMetaTrace:
     def test_batch_structure(self):
         config = WorkloadConfig(model=scaled_model(RMC1, 0.05), batch_size=4, num_batches=3)
