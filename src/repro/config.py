@@ -13,6 +13,7 @@ defined here.  Default values follow Tables I and II of the paper:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -250,15 +251,29 @@ def scaled_model(base: ModelConfig, scale: float) -> ModelConfig:
     return replace(base, num_embeddings=max(1, int(base.num_embeddings * scale)))
 
 
+BUFFER_POLICIES = ("htr", "lru", "fifo", "none")
+MIGRATION_MODES = ("page_block", "cacheline_block")
+
+
 @dataclass(frozen=True)
 class BufferConfig:
     """On-switch buffer configuration (§IV-A4, Fig 15)."""
 
     capacity_bytes: int = 512 * KIB
-    policy: str = "htr"  # one of "htr", "lru", "fifo", "none"
+    policy: str = "htr"  # one of BUFFER_POLICIES
     hit_latency_ns: float = 2.0
     # HTR re-ranking interval, expressed in number of accesses.
     htr_interval: int = 2048
+
+    def __post_init__(self) -> None:
+        if self.capacity_bytes < 0:
+            raise ValueError(f"capacity_bytes must be >= 0, got {self.capacity_bytes!r}")
+        if self.policy not in BUFFER_POLICIES:
+            raise ValueError(f"policy must be one of {BUFFER_POLICIES}, got {self.policy!r}")
+        if not (math.isfinite(self.hit_latency_ns) and self.hit_latency_ns >= 0):
+            raise ValueError(f"hit_latency_ns must be finite and >= 0, got {self.hit_latency_ns!r}")
+        if self.htr_interval < 1:
+            raise ValueError(f"htr_interval must be >= 1, got {self.htr_interval!r}")
 
 
 @dataclass(frozen=True)
@@ -283,6 +298,16 @@ class PageManagementConfig:
     # page) or "cacheline_block" (PIFS migration controller, §IV-B4).
     migration_mode: str = "cacheline_block"
     migration_epoch_accesses: int = 4096
+
+    def __post_init__(self) -> None:
+        if self.migration_epoch_accesses < 1:
+            raise ValueError(
+                f"migration_epoch_accesses must be >= 1, got {self.migration_epoch_accesses!r}"
+            )
+        if self.migration_mode not in MIGRATION_MODES:
+            raise ValueError(
+                f"migration_mode must be one of {MIGRATION_MODES}, got {self.migration_mode!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -385,6 +410,8 @@ __all__ = [
     "RMC4",
     "MODEL_CONFIGS",
     "scaled_model",
+    "BUFFER_POLICIES",
+    "MIGRATION_MODES",
     "BufferConfig",
     "PageManagementConfig",
     "PIFSConfig",

@@ -17,10 +17,21 @@ class AccessTracker:
     def __init__(self) -> None:
         self._counts: Counter = Counter()
         self._total = 0
+        self._resets = 0
 
     @property
     def total(self) -> int:
         return self._total
+
+    @property
+    def resets(self) -> int:
+        """How many times counts went down (:meth:`reset` or :meth:`decay`).
+
+        Between two changes of this number every count only grows and
+        keys keep their first-seen order, which incremental rankers (HTR
+        curation) rely on.
+        """
+        return self._resets
 
     def record(self, key: int, weight: int = 1) -> None:
         """Record ``weight`` accesses to ``key``."""
@@ -53,7 +64,11 @@ class AccessTracker:
         return self._counts.get(key, 0)
 
     def hottest(self, k: int) -> List[Tuple[int, int]]:
-        """The ``k`` most accessed keys as (key, count), hottest first."""
+        """The ``k`` most accessed keys as (key, count), hottest first.
+
+        Equal counts rank in first-seen order, the order in which keys
+        entered the tracker.
+        """
         return self._counts.most_common(k)
 
     def coldest(self, k: int) -> List[Tuple[int, int]]:
@@ -86,6 +101,7 @@ class AccessTracker:
                 total += new_value
         self._counts = decayed
         self._total = total
+        self._resets += 1
 
     def merge(self, other: "AccessTracker") -> None:
         """Merge another tracker's counts into this one."""
@@ -95,6 +111,7 @@ class AccessTracker:
     def reset(self) -> None:
         self._counts.clear()
         self._total = 0
+        self._resets += 1
 
 
 __all__ = ["AccessTracker"]

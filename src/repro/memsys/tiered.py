@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import CACHE_LINE_BYTES, PAGE_SIZE_BYTES
+from repro.config import CACHE_LINE_BYTES, MIGRATION_MODES, PAGE_SIZE_BYTES
 from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.page import Page, page_id_of
@@ -64,7 +64,7 @@ class TieredMemorySystem:
     ) -> None:
         if not nodes:
             raise ValueError("at least one node is required")
-        if migration_mode not in ("page_block", "cacheline_block"):
+        if migration_mode not in MIGRATION_MODES:
             raise ValueError(f"unknown migration mode {migration_mode!r}")
         self._nodes: Dict[int, MemoryNode] = {node.node_id: node for node in nodes}
         if len(self._nodes) != len(nodes):
@@ -175,10 +175,11 @@ class TieredMemorySystem:
     def node_id_table(self) -> np.ndarray:
         """Dense ``page id -> node id`` array (int64; ``-1`` for unplaced).
 
-        The array is cached and rebuilt only when the placement
-        :attr:`generation` changes, so batched resolvers can gather node ids
-        for whole address batches with one numpy indexing operation instead
-        of a dict lookup per access.
+        Batched resolvers gather node ids for whole address batches with
+        one numpy indexing operation instead of a dict lookup per access.
+        The array is live: :meth:`migrate_page` and :meth:`swap_pages`
+        patch the moved pages into it in place, and :meth:`install_placement`
+        makes the next call rebuild it.  Callers read it and do not keep it.
         """
         if self._table_cache is None or self._table_cache_generation != self._generation:
             size = (max(self._pages) + 1) if self._pages else 0
@@ -194,6 +195,19 @@ class TieredMemorySystem:
             self._table_cache = table
             self._table_cache_generation = self._generation
         return self._table_cache
+
+    def _move_in_table(self, moves: Dict[int, int]) -> None:
+        """Bump the generation after ``moves`` (page id -> new node id).
+
+        A table that was current before the move is patched, not rebuilt:
+        the moved pages were placed, so they lie inside it.
+        """
+        current = self._table_cache_generation == self._generation
+        self._generation += 1
+        if current:
+            for page_id, node_id in moves.items():
+                self._table_cache[page_id] = node_id
+            self._table_cache_generation = self._generation
 
     def node_ids_of_pages(self, page_ids: np.ndarray) -> np.ndarray:
         """Node ids currently holding each page of ``page_ids`` (vectorized).
@@ -305,7 +319,7 @@ class TieredMemorySystem:
         src.release(self._page_size)
         page.node_id = dst_node_id
         page.migrations += 1
-        self._generation += 1
+        self._move_in_table({page_id: dst_node_id})
         self._migration_stats.record(cost, blocked)
         record = MigrationRecord(page_id, src_node_id, dst_node_id, cost, mode)
         self._migration_log.append(record)
@@ -324,7 +338,7 @@ class TieredMemorySystem:
         a.node_id, b.node_id = node_b, node_a
         a.migrations += 1
         b.migrations += 1
-        self._generation += 1
+        self._move_in_table({page_a: node_b, page_b: node_a})
         cost = self.migration_cost_ns()
         blocked = self.blocked_rows_per_migration(row_bytes)
         records = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from collections import OrderedDict, deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import BufferConfig
@@ -24,24 +25,38 @@ class OnSwitchBuffer:
     * ``lru`` — classic least-recently-used.
     * ``fifo`` — first-in-first-out.
     * ``none`` — the buffer is disabled (every lookup misses).
+
+    HTR curation ranks rows by profiled count, equal counts in first-seen
+    order (the order :meth:`AccessTracker.hottest` keeps).  Between
+    profiler resets counts only grow, and only through :meth:`lookup`, so
+    each curation re-keys just the rows probed since the previous one and
+    merges them into that curation's survivors (see :meth:`_rank_hottest`).
     """
 
     def __init__(self, config: BufferConfig, row_bytes: int) -> None:
         if row_bytes <= 0:
             raise ValueError("row_bytes must be positive")
-        if config.policy not in ("htr", "lru", "fifo", "none"):
-            raise ValueError(f"unknown buffer policy {config.policy!r}")
         self._config = config
         self._row_bytes = row_bytes
-        self._capacity_rows = max(0, config.capacity_bytes // row_bytes)
+        self._capacity_rows = config.capacity_bytes // row_bytes
         self._entries: "OrderedDict[int, int]" = OrderedDict()  # address -> insertion order
         self._fifo: Deque[int] = deque()
         # HTR eviction heap: (count-at-push, insertion-seq, address) triples.
-        # Profiler counts only grow between curations, so pushed counts are
+        # Profiler counts only grow between resets, so pushed counts are
         # lower bounds and the classic lazy-update scheme finds the exact
         # (count, insertion-order) minimum the linear scan used to select.
         self._heap: List[Tuple[int, int, int]] = []
         self._profiler = AccessTracker()
+        self._heap_resets = 0
+        # Incremental HTR ranking: the last curation's top rows as sorted
+        # (-count, first-seen rank, address) keys, every profiled row's
+        # first-seen rank, and the rows probed since (a list both lookup
+        # paths append to; cleared in place).  Valid while the profiler's
+        # reset count equals ``_ranked_resets`` (None: rank from scratch).
+        self._ranked: List[Tuple[int, int, int]] = []
+        self._first_seen: Dict[int, int] = {}
+        self._touched: List[int] = []
+        self._ranked_resets: Optional[int] = None
         self._hits = 0
         self._misses = 0
         self._insertions = 0
@@ -101,11 +116,10 @@ class OnSwitchBuffer:
                 self._entries.move_to_end(address)
         else:
             self._misses += 1
-        if (
-            self._config.policy == "htr"
-            and self._accesses_since_curate >= self._config.htr_interval
-        ):
-            self._curate()
+        if self._config.policy == "htr":
+            self._touched.append(address)
+            if self._accesses_since_curate >= self._config.htr_interval:
+                self._curate()
         return hit
 
     def insert(self, address: int) -> None:
@@ -139,11 +153,11 @@ class OnSwitchBuffer:
         capacity is below the current occupancy, resident rows are evicted
         in insertion order until the buffer fits.  Must be applied before
         a :class:`BufferKernel` is built — kernels snapshot the capacity.
+        The next curation ranks from scratch.
         """
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be non-negative")
         self._config = dataclasses.replace(self._config, capacity_bytes=capacity_bytes)
-        self._capacity_rows = max(0, capacity_bytes // self._row_bytes)
+        self._capacity_rows = capacity_bytes // self._row_bytes
+        self._ranked_resets = None
         while len(self._entries) > self._capacity_rows:
             victim, _ = self._entries.popitem(last=False)
             if victim in self._fifo:
@@ -191,51 +205,89 @@ class OnSwitchBuffer:
     def _heap_top(self) -> Optional[Tuple[int, int, int]]:
         """The exact (count, seq, address) minimum over resident entries.
 
-        Pops stale heap entries (evicted or re-curated addresses) and
-        refreshes entries whose profiler count grew since they were pushed.
-        Counts never shrink between curations, so a fresh top is a true
-        global minimum.
+        Every resident row has a heap entry carrying its count when it was
+        pushed.  Pops stale entries (evicted or re-curated addresses) and
+        refreshes entries whose profiler count grew since.  Counts only
+        grow until the profiler is reset or decayed, so pushed counts are
+        lower bounds and a fresh top is the true minimum; after a reset or
+        decay the heap is rebuilt first.
         """
-        heap = self._heap
-        entries = self._entries
-        counts = self._profiler._counts
-        entry_seq = entries.get
-        rebuilt = False
-        while True:
-            while heap:
-                count, seq, address = heap[0]
-                if entry_seq(address) != seq:
-                    heapq.heappop(heap)
-                    continue
-                current = counts[address]
-                if current != count:
-                    heapq.heapreplace(heap, (current, seq, address))
-                    continue
-                return heap[0]
-            if rebuilt or not entries:
-                return None
+        if self._heap_resets != self._profiler.resets:
             self._rebuild_heap()
-            rebuilt = True
+        heap = self._heap
+        entry_seq = self._entries.get
+        counts = self._profiler._counts
+        while heap:
+            count, seq, address = heap[0]
+            if entry_seq(address) != seq:
+                heapq.heappop(heap)
+                continue
+            current = counts[address]
+            if current != count:
+                heapq.heapreplace(heap, (current, seq, address))
+                continue
+            return heap[0]
+        return None
 
     def _rebuild_heap(self) -> None:
         counts = self._profiler._counts
         self._heap = [(counts[address], seq, address) for address, seq in self._entries.items()]
         heapq.heapify(self._heap)
+        self._heap_resets = self._profiler.resets
 
     def _curate(self) -> None:
         """Re-curate the HTR buffer to hold the hottest recorded rows."""
         self._accesses_since_curate = 0
-        hottest = self._profiler.hottest(self._capacity_rows)
-        desired = {addr for addr, _ in hottest}
-        current = set(self._entries)
+        # Built in rank order: the set's iteration order decides which
+        # newcomer gets which insertion seq.
+        desired = {address for _, _, address in self._rank_hottest()}
+        entries = self._entries
+        current = set(entries)
         for addr in current - desired:
-            del self._entries[addr]
+            del entries[addr]
             self._evictions += 1
+        # Survivors keep valid lower-bound heap entries; only newcomers are
+        # pushed, and the evicted rows' entries are dropped lazily.
+        heap = self._heap
+        counts = self._profiler._counts
         for addr in desired - current:
-            if len(self._entries) < self._capacity_rows:
-                self._entries[addr] = self._insertions
+            if len(entries) < self._capacity_rows:
+                seq = self._insertions
+                entries[addr] = seq
+                heapq.heappush(heap, (counts[addr], seq, addr))
                 self._insertions += 1
-        self._rebuild_heap()
+        if len(heap) > 2 * len(entries):
+            self._rebuild_heap()
+
+    def _rank_hottest(self) -> List[Tuple[int, int, int]]:
+        """The ``capacity_rows`` hottest rows as sorted ``(-count, first-seen rank, address)``.
+
+        Same rows and order as ``profiler.hottest(capacity_rows)``.  A row
+        neither probed since the previous curation nor in its top-k kept
+        its count while every top-k row's count could only grow, so it
+        still ranks below all k of them: the new top-k is the previous one
+        with the probed rows re-keyed.  After a profiler reset or decay, or
+        a resize, every profiled row is re-keyed against an empty top-k.
+        """
+        profiler = self._profiler
+        counts = profiler._counts
+        rank = self._first_seen
+        touched = set(self._touched)
+        # In place: the BufferKernel closures hold this list's append.
+        self._touched.clear()
+        if profiler.resets != self._ranked_resets:
+            rank.clear()
+            self._ranked = []
+            touched = counts.keys()
+            self._ranked_resets = profiler.resets
+        # New rows entered the counter at its end, in first-seen order.
+        rank.update(zip(islice(counts, len(rank), None), range(len(rank), len(counts))))
+        ranked = [key for key in self._ranked if key[2] not in touched]
+        ranked += sorted([(-counts[a], rank[a], a) for a in touched])
+        ranked.sort()  # merges the two sorted runs
+        del ranked[self._capacity_rows:]
+        self._ranked = ranked
+        return ranked
 
     def reset_stats(self) -> None:
         self._hits = 0
@@ -249,11 +301,12 @@ class OnSwitchBuffer:
 class BufferKernel:
     """Flattened ``lookup``/``insert`` over one :class:`OnSwitchBuffer`.
 
-    The closures operate directly on the buffer's own ``OrderedDict`` and
-    profiler counter (so HTR curation and eviction decisions are the
-    buffer's own code), while the hit/miss/interval counters live in locals
-    until :meth:`sync`.  Behaviour is identical to the scalar methods,
-    including the HTR re-curation trigger position inside ``lookup``.
+    The closures operate directly on the buffer's own ``OrderedDict``,
+    profiler counter and HTR touched list (so HTR curation and eviction
+    decisions are the buffer's own code), while the hit/miss/interval
+    counters live in locals until :meth:`sync`.  Behaviour is identical to
+    the scalar methods, including the HTR re-curation trigger position
+    inside ``lookup``.
 
     Policies that never *read* the profiler mid-stream (LRU, FIFO, none —
     only HTR consults counts for eviction and curation) additionally get a
@@ -281,6 +334,7 @@ class BufferKernel:
         is_htr = policy == "htr"
         is_fifo = policy == "fifo"
         htr_interval = buffer._config.htr_interval
+        touch = buffer._touched.append
         hits = 0
         misses = 0
         recorded = 0
@@ -301,9 +355,11 @@ class BufferKernel:
                     move_to_end(address)
             else:
                 misses += 1
-            if is_htr and since_curate >= htr_interval:
-                buffer._curate()
-                since_curate = 0
+            if is_htr:
+                touch(address)
+                if since_curate >= htr_interval:
+                    buffer._curate()
+                    since_curate = 0
             return hit
 
         def probe(address: int) -> bool:

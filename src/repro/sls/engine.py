@@ -369,8 +369,7 @@ class SLSSystem(ABC):
             )
             obs.count("engine.requests")
         self._lookups_since_maintenance += request.num_candidates
-        epoch = max(1, self.system.page_mgmt.migration_epoch_accesses)
-        if self._lookups_since_maintenance < epoch:
+        if self._lookups_since_maintenance < self.system.page_mgmt.migration_epoch_accesses:
             return 0.0
         self._lookups_since_maintenance = 0
         if self._vector is not None:

@@ -181,14 +181,18 @@ class VectorContext:
         self._window_start = 0
         self._window_end = 0
         self._node_generation = -1
+        self._generation_start = 0
 
     # ------------------------------------------------------------------
     # Resolution accessors
     # ------------------------------------------------------------------
-    #: Gather granularity of the node window (lookups, not bytes): large
-    #: enough to amortize the numpy gather, small enough that the frequent
-    #: migration epochs of the page-managed systems do not re-gather the
-    #: whole remaining workload every epoch.
+    #: Largest node-window gather (lookups, not bytes): large enough to
+    #: amortize the numpy gather.  A gather that follows a placement change
+    #: is sized to about twice what the previous placement generation
+    #: consumed, so the frequent migration epochs of the page-managed
+    #: systems re-gather about what they will use; a gather after the
+    #: window ran out (every gather of a system that never migrates) takes
+    #: the whole window.
     NODE_WINDOW = 8192
 
     def _ensure_window(self, begin: int, end: int) -> None:
@@ -197,25 +201,29 @@ class VectorContext:
         The window is re-gathered through the dense page table when the
         placement generation changes or the request leaves the cached range;
         the closed-loop replay consumes positions in order, so each epoch
-        re-gathers one window rather than the full workload.  One rebuild
-        derives, with a handful of numpy passes, everything the request
-        paths consume per row: the local/CXL flags, the owning device per
-        position, and the position-sorted local/remote
-        split with its device and switch columns (so per-request splits are
-        C-level list slices instead of per-row Python branching).
+        re-gathers about what it consumes (see :attr:`NODE_WINDOW`).  One
+        rebuild derives, with a handful of numpy passes, everything the
+        request paths consume per row: the local/CXL flags, the owning
+        device per position, and the position-sorted local/remote split with
+        its device and switch columns (so per-request splits are C-level
+        list slices instead of per-row Python branching).
         """
+        generation = self.tiered.generation
         if (
-            self.tiered.generation == self._node_generation
+            generation == self._node_generation
             and begin >= self._window_start
             and end <= self._window_end
         ):
             return
-        span = end - begin
-        block = span if span > self.NODE_WINDOW else self.NODE_WINDOW
-        stop = begin + block
-        total = len(self.page)
-        if stop > total:
-            stop = total
+        block = self.NODE_WINDOW
+        if generation != self._node_generation:
+            # After a placement change (not a new dispatch unit), gather
+            # about twice what the previous generation consumed.
+            consumed = begin - self._generation_start
+            if self._node_generation >= 0 and consumed >= 0:
+                block = min(block, 2 * consumed)
+            self._generation_start = begin
+        stop = min(begin + max(block, end - begin), len(self.page))
         table = self.tiered.node_id_table()
         window_np = table[self._page_np[begin:stop]]
         local_mask = self._node_is_local_np[window_np]
@@ -231,7 +239,7 @@ class VectorContext:
         self._remote_sw = self._device_switch_np[remote_devs].tolist()
         self._window_start = begin
         self._window_end = stop
-        self._node_generation = self.tiered.generation
+        self._node_generation = generation
 
     def window_flags(self, begin: int, end: int) -> Tuple[List[bool], List[int], int]:
         """Per-position ``(local_flags, device_ids, offset)`` for ``[begin, end)``.

@@ -10,13 +10,16 @@ from repro.config import (
     RMC2,
     RMC3,
     RMC4,
+    BufferConfig,
     DRAMConfig,
     CXLConfig,
+    PageManagementConfig,
     PIFSConfig,
     SystemConfig,
     WorkloadConfig,
     scaled_model,
 )
+from repro.pifs.onswitch_buffer import OnSwitchBuffer
 
 
 class TestDRAMTimings:
@@ -120,3 +123,43 @@ class TestSystemConfig:
         cxl = CXLConfig()
         assert cxl.slot_bytes == 16
         assert cxl.flit_bytes == 64
+
+
+class TestValidation:
+    """Buffer and page-management configs reject bad values where they are built."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_bytes", -1),
+            ("policy", "mru"),
+            ("hit_latency_ns", -0.5),
+            ("hit_latency_ns", float("nan")),
+            ("hit_latency_ns", float("inf")),
+            ("htr_interval", 0),
+        ],
+    )
+    def test_buffer_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BufferConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("migration_epoch_accesses", 0),
+            ("migration_epoch_accesses", -4),
+            ("migration_mode", "os"),
+        ],
+    )
+    def test_page_management_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PageManagementConfig(**{field: value})
+
+    @pytest.mark.parametrize("policy", ["htr", "lru", "fifo", "none"])
+    def test_zero_capacity_is_valid_for_every_policy(self, policy):
+        assert OnSwitchBuffer(BufferConfig(policy=policy, capacity_bytes=0), 64).capacity_rows == 0
+
+    def test_a_negative_resize_names_the_field(self):
+        buffer = OnSwitchBuffer(BufferConfig(), 64)
+        with pytest.raises(ValueError, match="capacity_bytes"):
+            buffer.resize(-64)
