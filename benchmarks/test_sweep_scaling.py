@@ -1,16 +1,17 @@
-"""Sweep-engine scaling benchmark: persistent pool vs. the legacy pool.
+"""Sweep-engine scaling benchmark: persistent pool vs. a fork-per-sweep pool.
 
 A multi-point parallel sweep (4 systems x 4-6 batch sizes, vector
-engine; 16+ grid points) is executed through each engine mode, mimicking
+engine; 16+ grid points) is executed through each engine, mimicking
 how the experiment drivers chain sweeps: a warm-up sweep sharing the
 measured grid's workloads, then the timed grid.
 
-* ``reuse_pool=False`` (the PR-3 engine): a fresh fork pool per ``run()``
-  call, one task per IPC round trip, every worker re-deriving the traces
-  it touches — and everything torn down with the grid.
-* ``reuse_pool=True`` (the persistent engine): the pool survives between
-  sweeps, grid points are scheduled as chunks grouped by workload key,
-  and each chunk ships its trace from the parent's cross-run cache.
+* legacy (the comparator, built here): a fresh fork pool per sweep that
+  runs ``execute_spec`` once per grid point — one task per IPC round
+  trip, every worker re-deriving the traces it touches, and everything
+  torn down with the grid.
+* persistent (``Sweep.run``): the pool survives between sweeps, grid
+  points are scheduled as chunks grouped by workload key, and each chunk
+  ships its trace from the parent's cross-run cache.
 
 The benchmark asserts the persistent engine returns results identical to
 the serial path, pins the wall-clock floor, and records the
@@ -24,8 +25,8 @@ import time
 
 from conftest import bench_environment, run_once, write_baseline
 
-from repro.api.session import Simulation, clear_cache
-from repro.api.sweep import Sweep, shutdown_worker_pool
+from repro.api.session import Simulation, clear_cache, execute_spec, safe_spec_key
+from repro.api.sweep import Sweep, _pool_context, shutdown_worker_pool
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 REPEATS = 2 if SMOKE else 5
@@ -58,17 +59,25 @@ def _measured_sweep():
     return Sweep(MEASURED_GRID, base=_base())
 
 
-def _timed_sequence(reuse_pool):
+def _legacy_run(sweep):
+    """Run every grid point in a fresh fork pool, one ``execute_spec`` each."""
+    specs = [sim.spec() for sim, _ in sweep.simulations()]
+    tasks = [(spec, safe_spec_key(spec) or "") for spec in specs]
+    with _pool_context().Pool(processes=PROCESSES) as pool:
+        return pool.starmap(execute_spec, tasks)
+
+
+def _persistent_run(sweep):
+    return sweep.run(parallel=True, processes=PROCESSES, cache=False)
+
+
+def _timed_sequence(run):
     """Warm-up sweep then the timed 16-point grid, from a cold engine."""
     clear_cache()
     shutdown_worker_pool()
-    Sweep(WARMUP_GRID, base=_base()).run(
-        parallel=True, processes=PROCESSES, reuse_pool=reuse_pool, cache=False
-    )
+    run(Sweep(WARMUP_GRID, base=_base()))
     started = time.perf_counter()
-    result = _measured_sweep().run(
-        parallel=True, processes=PROCESSES, reuse_pool=reuse_pool, cache=False
-    )
+    result = run(_measured_sweep())
     return time.perf_counter() - started, result
 
 
@@ -80,9 +89,9 @@ def _compare_engines():
     persistent_s = float("inf")
     persistent = None
     for _ in range(REPEATS):
-        elapsed, _result = _timed_sequence(reuse_pool=False)
+        elapsed, _result = _timed_sequence(_legacy_run)
         legacy_s = min(legacy_s, elapsed)
-        elapsed, persistent = _timed_sequence(reuse_pool=True)
+        elapsed, persistent = _timed_sequence(_persistent_run)
         persistent_s = min(persistent_s, elapsed)
     shutdown_worker_pool()
 

@@ -42,6 +42,7 @@ from repro.scenarios.registry import UnknownScenarioError
 from repro.api.results import SweepResult
 from repro.api.session import Simulation
 from repro.api.sweep import Sweep
+from repro.config import ENGINES, ROUTER_POLICIES
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -68,7 +69,7 @@ def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["scalar", "vector", "packet"],
+        choices=ENGINES,
         default=None,
         help="replay fidelity: 'scalar' walks the device models per lookup "
         "(the oracle), 'vector' resolves lookup batches as numpy arrays "
@@ -1113,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "exit 1 on any")
     scenario_run.add_argument("--system", default=None, metavar="NAME",
                               help="override the scenario's system under test")
-    scenario_run.add_argument("--engine", choices=["scalar", "vector", "packet"],
+    scenario_run.add_argument("--engine", choices=ENGINES,
                               default=None,
                               help="replay fidelity (scenario results are bit-identical "
                               "between scalar, vector and uncongested packet)")
@@ -1152,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   metavar="NAME",
                                   help="system to include (repeatable; default: "
                                   + " ".join(DEFAULT_COMPARE_SYSTEMS) + ")")
-    scenario_compare.add_argument("--engine", choices=["scalar", "vector", "packet"],
+    scenario_compare.add_argument("--engine", choices=ENGINES,
                                   default=None,
                                   help="replay fidelity for every grid point")
     scenario_compare.add_argument("--serial", action="store_true",
@@ -1263,7 +1264,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="scenario name (list them with 'scenario list')")
     trace_scenario.add_argument("--system", default=None, metavar="NAME",
                                 help="override the scenario's system under test")
-    trace_scenario.add_argument("--engine", choices=["scalar", "vector", "packet"],
+    trace_scenario.add_argument("--engine", choices=ENGINES,
                                 default=None, help="replay fidelity override")
     trace_scenario.add_argument("--no-serve", action="store_true",
                                 help="skip the open-loop serving pass")
@@ -1292,13 +1293,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
 
     def _add_fleet_arguments(subparser: argparse.ArgumentParser) -> None:
-        from repro.fleet import ROUTER_POLICIES
-
         subparser.add_argument("system", nargs="?", default="pifs-rec",
                                help="registered system per shard (default: pifs-rec)")
         subparser.add_argument("--shards", type=int, default=4, metavar="N",
                                help="per-rack systems in the fleet (default: 4)")
-        subparser.add_argument("--router", choices=list(ROUTER_POLICIES),
+        subparser.add_argument("--router", choices=ROUTER_POLICIES,
                                default="table-affinity",
                                help="request routing policy (default: table-affinity)")
         subparser.add_argument("--fleet-seed", type=int, default=0, metavar="SEED",

@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro.api.registry import SystemFactory, UnknownSystemError, system_factory
 from repro.api.results import RunResult
-from repro.config import DEFAULT_SYSTEM, ModelConfig, SystemConfig
+from repro.config import DEFAULT_SYSTEM, ENGINES, ROUTER_POLICIES, ModelConfig, SystemConfig
 from repro.experiments.common import (
     DEFAULT_SCALE,
     QUICK_SCALE,
@@ -36,6 +36,7 @@ from repro.experiments.common import (
     evaluation_system,
     evaluation_workload,
 )
+from repro.obs.recorder import NULL_RECORDER
 
 #: A config transform rewrites the derived :class:`SystemConfig` (e.g. to
 #: swap the on-switch buffer policy).  Must be picklable (module-level
@@ -87,7 +88,7 @@ class RunSpec:
     #: replays bit-identically to the single-system run.
     fleet_shards: int = 0
     #: Request-routing policy in front of the fleet's shards (one of
-    #: :data:`repro.fleet.router.ROUTER_POLICIES`).
+    #: :data:`repro.config.ROUTER_POLICIES`).
     fleet_router: str = "table-affinity"
     #: Seed for the router's hashing/tie-breaking decisions.
     fleet_seed: int = 0
@@ -100,9 +101,8 @@ class RunSpec:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
         if self.fleet_shards < 0:
             raise ValueError(f"fleet_shards must be >= 0, got {self.fleet_shards!r}")
-        # Imported here: repro.fleet imports this module.
-        from repro.fleet.router import ROUTER_POLICIES
-
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}; expected one of: {', '.join(ENGINES)}")
         if self.fleet_router not in ROUTER_POLICIES:
             known = ", ".join(ROUTER_POLICIES)
             raise ValueError(f"unknown fleet_router {self.fleet_router!r}; expected one of: {known}")
@@ -530,6 +530,24 @@ def spec_params(spec: RunSpec) -> Dict[str, Any]:
     return params
 
 
+def _observed_build(spec: RunSpec, recorder: Optional[Any]) -> Tuple[Any, Any]:
+    """Build a spec's system and workload, installing ``recorder`` on the system.
+
+    System first: an unknown name fails fast instead of after the
+    (expensive) workload generation.  Without a recorder the build phases
+    go to the no-op :data:`~repro.obs.recorder.NULL_RECORDER`.
+    """
+    obs = NULL_RECORDER if recorder is None else recorder
+    with obs.phase("system.build"):
+        system = build_system(spec)
+    with obs.phase("workload.build"):
+        workload = build_workload(spec)
+    set_recorder = getattr(system, "set_recorder", None)
+    if set_recorder is not None:
+        set_recorder(recorder)
+    return system, workload
+
+
 def execute_serve_spec(
     spec: RunSpec, config: "ServeConfig", recorder: Optional[Any] = None
 ) -> "ServeResult":
@@ -552,18 +570,7 @@ def execute_serve_spec(
         from repro.fleet.executor import serve_fleet
 
         return serve_fleet(spec, config, workers=0, recorder=recorder)
-    if recorder is None:
-        system = build_system(spec)
-        workload = build_workload(spec)
-        return _serve(system, workload, config)
-    with recorder.phase("system.build"):
-        system = build_system(spec)
-    with recorder.phase("workload.build"):
-        workload = build_workload(spec)
-    set_recorder = getattr(system, "set_recorder", None)
-    if set_recorder is not None:
-        set_recorder(recorder)
-    return _serve(system, workload, config)
+    return _serve(*_observed_build(spec, recorder), config)
 
 
 class ServeEvaluator:
@@ -621,31 +628,16 @@ def execute_spec(
             config_key=key,
             obs=report() if report is not None else None,
         )
-    if recorder is None:
-        # System first: an unknown name fails fast instead of after the
-        # (expensive) workload generation.
-        system = build_system(spec)
-        workload = build_workload(spec)
-        sim = system.run(workload)
-        obs_report = None
-    else:
-        with recorder.phase("system.build"):
-            system = build_system(spec)
-        with recorder.phase("workload.build"):
-            workload = build_workload(spec)
-        set_recorder = getattr(system, "set_recorder", None)
-        if set_recorder is not None:
-            set_recorder(recorder)
-        sim = system.run(workload)
-        report = getattr(recorder, "report", None)
-        obs_report = report() if report is not None else None
+    system, workload = _observed_build(spec, recorder)
+    sim = system.run(workload)
+    report = getattr(recorder, "report", None)
     return RunResult(
         system=system_label(spec.system),
         model=model_label(spec.model),
         params=spec_params(spec),
         sim=sim,
         config_key=key,
-        obs=obs_report,
+        obs=report() if report is not None else None,
     )
 
 
@@ -812,13 +804,9 @@ class Simulation:
         attaches ``repro.net`` port queues to every fabric link — identical
         to scalar when uncongested, and reporting queue-depth timelines,
         drops and backpressure via ``result.net`` (see :meth:`packet` for
-        the congestion knobs).  Validated eagerly so typos fail at
-        session-build time.
+        the congestion knobs).  :class:`RunSpec` validates it, so typos
+        fail at session-build time.
         """
-        from repro.sls.engine import ENGINES
-
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of: {', '.join(ENGINES)}")
         return self._set(engine=engine)
 
     def fidelity(self, fidelity: str) -> "Simulation":
@@ -854,7 +842,7 @@ class Simulation:
         assigns to it — see :mod:`repro.fleet`.  ``shards=0`` restores
         the plain single-system run; ``shards=1`` is a one-rack fleet,
         bit-identical to the single-system run.  ``router`` is one of
-        :data:`~repro.fleet.router.ROUTER_POLICIES` (default
+        :data:`~repro.config.ROUTER_POLICIES` (default
         ``"table-affinity"``); ``seed`` feeds the router's hashing and
         tie-breaking.  Composes with every other knob — engines,
         streaming, faults, packet fidelity, observability.

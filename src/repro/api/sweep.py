@@ -252,7 +252,6 @@ class Sweep:
         parallel: bool = False,
         processes: Optional[int] = None,
         cache: bool = True,
-        reuse_pool: bool = True,
         recorder: Optional[Any] = None,
     ) -> SweepResult:
         """Execute every grid point and return the ordered results.
@@ -264,9 +263,7 @@ class Sweep:
         cross-run cache) once and shared by all its runs — and the pool
         itself survives across ``run()`` calls, so repeated sweeps pay
         neither pool startup nor workload re-derivation.  Ordering and
-        values are identical to the serial path.  ``reuse_pool=False``
-        restores the legacy fork-per-call pool (mainly for benchmarking
-        the engines against each other).
+        values are identical to the serial path.
 
         ``recorder`` (or a recorder attached to the base session via
         ``Simulation.observe``) observes the sweep: config-hash cache
@@ -297,7 +294,7 @@ class Sweep:
         # objects (policies) mutate during the run, so a key recomputed
         # later would drift and a re-run of this sweep would miss the cache.
         fresh = self._execute(
-            [(specs[i], keys[i] or "") for i in pending], parallel, processes, reuse_pool,
+            [(specs[i], keys[i] or "") for i in pending], parallel, processes,
             recorder=recorder if record else None,
         )
         for index, result in zip(pending, fresh):
@@ -367,7 +364,6 @@ class Sweep:
         tasks: Sequence[Tuple[RunSpec, str]],
         parallel: bool,
         processes: Optional[int],
-        reuse_pool: bool = True,
         recorder: Optional[Any] = None,
     ) -> List[RunResult]:
         if not tasks:
@@ -375,13 +371,6 @@ class Sweep:
         workers = min(len(tasks), os.cpu_count() or 1) if processes is None else processes
         if not parallel or workers <= 1 or len(tasks) == 1:
             return [execute_spec(spec, key, recorder=recorder) for spec, key in tasks]
-        if not reuse_pool:
-            # Legacy engine: a fresh fork-per-call pool, one task per IPC
-            # round trip, no workload sharing (and no worker-side
-            # recording).  Kept as the benchmark comparator and as an
-            # escape hatch.
-            with _pool_context().Pool(processes=workers) as pool:
-                return pool.starmap(execute_spec, list(tasks))
 
         from collections import Counter
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
-# Units.  The global simulation clock is expressed in nanoseconds ("ticks"),
-# matching the paper's "top-module clock tick period of one ns/clk".
+# Units.  The global simulation clock is expressed in nanoseconds, matching
+# the paper's "top-module clock tick period of one ns/clk".
 # ---------------------------------------------------------------------------
 
-NS_PER_TICK = 1.0
 CACHE_LINE_BYTES = 64
 PAGE_SIZE_BYTES = 4096
 GIB = 1024 ** 3
@@ -152,26 +151,12 @@ class CXLConfig:
     # Fabric-switch SRAM buffer read/write latency range in ns (Table II).
     buffer_read_ns: Tuple[float, float] = (0.91, 4.19)
     buffer_write_ns: Tuple[float, float] = (0.91, 4.17)
-    # Round-trip overhead attributed to CXL I/O port transfers and retimers:
-    # ~37% of a 270 ns pooled access (§IV-A4).
-    io_port_overhead_ns: float = 100.0
     retimer_ns: float = 15.0
     # Latency added per inter-switch hop in a scaled-out fabric (§VI-C4).
     inter_switch_hop_ns: float = 100.0
     # Flit/slot size of the CXL protocol (16 byte slots, 64 byte flits).
     slot_bytes: int = 16
     flit_bytes: int = 64
-
-
-@dataclass(frozen=True)
-class MLPConfig:
-    """A simple multi-layer perceptron description (layer widths)."""
-
-    layers: Tuple[int, ...]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
 
 
 @dataclass(frozen=True)
@@ -253,6 +238,11 @@ def scaled_model(base: ModelConfig, scale: float) -> ModelConfig:
 
 BUFFER_POLICIES = ("htr", "lru", "fifo", "none")
 MIGRATION_MODES = ("page_block", "cacheline_block")
+#: Replay fidelities (``SLSSystem.set_engine``): ``"packet"`` is the scalar
+#: request flow with ``repro.net`` port queues on every fabric link.
+ENGINES = ("scalar", "vector", "packet")
+#: Fleet request-routing policies (``repro.fleet.router.make_router``).
+ROUTER_POLICIES = ("hash", "power-of-two-choices", "table-affinity")
 
 
 @dataclass(frozen=True)
@@ -281,19 +271,12 @@ class PageManagementConfig:
     """Software page-management parameters (§IV-B)."""
 
     enabled: bool = True
-    page_size_bytes: int = PAGE_SIZE_BYTES
-    # Fraction of the working set allocated to CXL under the 4:1 interleave
-    # policy that the characterization study found optimal (§III).
-    cxl_interleave_fraction: float = 0.20
     # "migrate threshold": a CXL node is considered warm when its access
     # count exceeds the average of the other nodes by (1 - threshold).
     migrate_threshold: float = 0.35
     # "cold age threshold": a private hot page is reclassified as public cold
     # when its access frequency falls behind by more than this fraction.
     cold_age_threshold: float = 0.16
-    # Page swap threshold used for the default evaluation configuration
-    # ("page swap threshold 12%", §VI-C).
-    page_swap_threshold: float = 0.12
     # Migration mechanism: "page_block" (OS page granular, blocks the whole
     # page) or "cacheline_block" (PIFS migration controller, §IV-B4).
     migration_mode: str = "cacheline_block"
@@ -352,9 +335,16 @@ class SystemConfig:
     # Latency of a local DRAM load observed by the host (ns), before bank
     # timing adjustments.
     local_dram_base_latency_ns: float = 90.0
-    # Latency of a remote-socket DRAM load over the inter-socket interconnect.
-    remote_socket_latency_ns: float = 140.0
-    remote_socket_bandwidth_gbps: float = 76.8
+
+    def __post_init__(self) -> None:
+        for name in ("num_hosts", "num_cxl_devices", "num_fabric_switches", "host_threads"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if self.local_dram_capacity_bytes < 0:
+            raise ValueError(
+                f"local_dram_capacity_bytes must be >= 0, got {self.local_dram_capacity_bytes!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -389,7 +379,6 @@ DEFAULT_SYSTEM = SystemConfig()
 DEFAULT_WORKLOAD = WorkloadConfig()
 
 __all__ = [
-    "NS_PER_TICK",
     "CACHE_LINE_BYTES",
     "PAGE_SIZE_BYTES",
     "GIB",
@@ -402,7 +391,6 @@ __all__ = [
     "DDR5_LOCAL_CONFIG",
     "DDR4_CXL_CONFIG",
     "CXLConfig",
-    "MLPConfig",
     "ModelConfig",
     "RMC1",
     "RMC2",
@@ -412,6 +400,8 @@ __all__ = [
     "scaled_model",
     "BUFFER_POLICIES",
     "MIGRATION_MODES",
+    "ENGINES",
+    "ROUTER_POLICIES",
     "BufferConfig",
     "PageManagementConfig",
     "PIFSConfig",

@@ -41,6 +41,8 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import ROUTER_POLICIES
+
 __all__ = [
     "ROUTER_POLICIES",
     "BoundRouter",
@@ -52,9 +54,6 @@ __all__ = [
     "make_router",
     "request_keys",
 ]
-
-#: Router policy names accepted by ``Simulation.fleet(...)`` / the CLI.
-ROUTER_POLICIES: Tuple[str, ...] = ("hash", "power-of-two-choices", "table-affinity")
 
 _MASK64 = (1 << 64) - 1
 

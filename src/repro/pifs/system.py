@@ -65,7 +65,7 @@ class PIFSRecSystem(SLSSystem):
     def prepare(self, workload: SLSWorkload) -> None:
         self.hosts = {
             host_id: PIFSHost(host_id, self.system)
-            for host_id in range(max(1, self.system.num_hosts))
+            for host_id in range(self.system.num_hosts)
         }
         # The embedding-table region is designated device-bias (§IV-A1), so
         # in-switch fetches never pay the host-bias coherence round trip.
@@ -73,7 +73,7 @@ class PIFSRecSystem(SLSSystem):
 
         for device in self.backends.devices:
             device.bias_table.set_mode(0, BiasMode.DEVICE, workload.address_space.total_bytes)
-        num_switches = max(1, self.system.num_fabric_switches)
+        num_switches = self.system.num_fabric_switches
         if num_switches > 1:
             topology = FabricTopology(num_switches, self.system.cxl)
             compute = [

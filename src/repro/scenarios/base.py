@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.config import MODEL_CONFIGS
+from repro.config import ENGINES, MODEL_CONFIGS, ROUTER_POLICIES
 from repro.scenarios.faults import FaultSpec, fault_from_dict
 from repro.scenarios.workloads import (
     MultiTenantWorkload,
     provider_from_dict,
 )
+from repro.serve.server import ServeConfig
 
 #: Axis names a scenario may sweep over.  ``tables`` is special-cased (it
 #: rewrites the evaluation scale); the rest map to Simulation settings.
@@ -54,19 +55,16 @@ class TrafficSpec:
     sla_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ValueError("qps must be positive")
-        if self.max_batch_size <= 0:
-            raise ValueError("max_batch_size must be positive")
-        # Validate eagerly (like every sibling spec) so a typo'd arrival
-        # fails at scenario definition, not at serve time.
-        from repro.serve.arrivals import available_arrivals
-
-        if str(self.arrival).lower() not in available_arrivals():
-            known = ", ".join(available_arrivals())
-            raise ValueError(
-                f"unknown arrival process {self.arrival!r}; expected one of: {known}"
-            )
+        # Validate eagerly (like every sibling spec) through the serve
+        # config this spec describes, so a bad knob fails at scenario
+        # definition, not at serve time.
+        ServeConfig(
+            qps=self.qps,
+            arrival=self.arrival,
+            max_batch_size=self.max_batch_size,
+            max_wait_ns=self.max_wait_us * 1e3,
+            sla_ns=self.sla_ns,
+        )
 
     @property
     def sla_ns(self) -> Optional[float]:
@@ -111,7 +109,7 @@ class Scenario:
     #: :mod:`repro.fleet`).
     shards: int = 0
     #: Request-routing policy in front of the shards (one of
-    #: :data:`repro.fleet.router.ROUTER_POLICIES`).
+    #: :data:`repro.config.ROUTER_POLICIES`).
     router: str = "table-affinity"
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
 
@@ -121,18 +119,12 @@ class Scenario:
         if self.model.upper() not in MODEL_CONFIGS:
             known = ", ".join(sorted(MODEL_CONFIGS))
             raise ValueError(f"unknown model {self.model!r}; expected one of: {known}")
-        if self.fidelity is not None:
-            from repro.sls.engine import ENGINES
-
-            if self.fidelity not in ENGINES:
-                raise ValueError(
-                    f"unknown fidelity {self.fidelity!r}; expected one of: "
-                    + ", ".join(ENGINES)
-                )
+        if self.fidelity is not None and self.fidelity not in ENGINES:
+            raise ValueError(
+                f"unknown fidelity {self.fidelity!r}; expected one of: " + ", ".join(ENGINES)
+            )
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
-        from repro.fleet.router import ROUTER_POLICIES
-
         if self.router not in ROUTER_POLICIES:
             raise ValueError(
                 f"unknown router policy {self.router!r}; expected one of: "

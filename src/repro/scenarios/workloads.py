@@ -103,7 +103,7 @@ class TraceFileWorkload:
             format=self.format,
             batch_size=batch_size,
             hex_indices=self.hex_indices,
-            num_hosts=max(1, spec.num_hosts),
+            num_hosts=spec.num_hosts,
             streaming=self.streaming or bool(getattr(spec, "stream", False)),
             window_batches=self.window_batches,
         )
@@ -142,7 +142,7 @@ class DriftWorkload:
             period_batches=self.period_batches,
             hot_fraction=self.hot_fraction,
             hot_probability=self.hot_probability,
-            num_hosts=max(1, spec.num_hosts),
+            num_hosts=spec.num_hosts,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -238,7 +238,7 @@ class MultiTenantWorkload:
         )
 
     def build(self, spec) -> SLSWorkload:
-        num_hosts = max(1, spec.num_hosts)
+        num_hosts = spec.num_hosts
         if num_hosts != self.total_hosts:
             raise ValueError(
                 f"multi-tenant workload owns {self.total_hosts} host(s) "

@@ -48,7 +48,7 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.qps) and self.qps > 0):
-            raise ValueError(f"qps must be finite and positive, got {self.qps!r}")
+            raise ValueError(f"qps must be positive and finite, got {self.qps!r}")
         if self.sla_ns is not None and not self.sla_ns > 0:
             raise ValueError(f"sla_ns must be positive, got {self.sla_ns!r}")
         if self.max_batch_size < 1:
@@ -99,8 +99,8 @@ def serve(system: SLSSystem, workload: SLSWorkload, config: ServeConfig) -> Serv
     process = arrival_process(config.arrival)
     arrivals = process.iter_arrival_times_ns(None, config.qps, config.seed)
 
-    num_hosts = max(1, system.system.num_hosts)
-    threads_per_host = max(1, system.system.host_threads)
+    num_hosts = system.system.num_hosts
+    threads_per_host = system.system.host_threads
 
     system.begin_session(workload)
     vector = getattr(system, "_vector", None)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import PAGE_SIZE_BYTES, SystemConfig
+from repro.config import ENGINES, PAGE_SIZE_BYTES, SystemConfig
 from repro.cxl.device import CXLType3Device
 from repro.cxl.switch import FabricSwitch, SwitchPort
 from repro.dram.device import DRAMDevice
@@ -53,7 +53,6 @@ class MemoryBackends:
         system: SystemConfig,
         row_bytes: int,
         use_pifs_switch: bool = False,
-        compute_enabled: bool = True,
     ) -> None:
         self.system = system
         self.row_bytes = row_bytes
@@ -62,21 +61,16 @@ class MemoryBackends:
         # behind the fabric switches is shared.
         self.local_dram_per_host = [
             DRAMDevice(system.local_dram, name=f"local_ddr5_h{host}")
-            for host in range(max(1, system.num_hosts))
+            for host in range(system.num_hosts)
         ]
         self.local_dram = self.local_dram_per_host[0]
 
-        num_switches = max(1, system.num_fabric_switches)
-        num_devices = max(1, system.num_cxl_devices)
+        num_switches = system.num_fabric_switches
         self.switches: List[FabricSwitch] = []
         for switch_id in range(num_switches):
             if use_pifs_switch:
                 switch: FabricSwitch = PIFSSwitch(
-                    system.cxl,
-                    system.pifs,
-                    row_bytes=row_bytes,
-                    switch_id=switch_id,
-                    compute_enabled=compute_enabled,
+                    system.cxl, system.pifs, row_bytes=row_bytes, switch_id=switch_id
                 )
             else:
                 switch = FabricSwitch(system.cxl, switch_id=switch_id)
@@ -85,7 +79,7 @@ class MemoryBackends:
         # Devices are distributed round-robin across switches.
         self.devices: List[CXLType3Device] = []
         self.device_switch: Dict[int, int] = {}
-        for device_id in range(num_devices):
+        for device_id in range(system.num_cxl_devices):
             device = CXLType3Device(device_id, system.cxl_dram, system.cxl)
             switch_id = device_id % num_switches
             self.switches[switch_id].attach_device(device)
@@ -96,7 +90,7 @@ class MemoryBackends:
         # assigned a "home" switch round-robin.
         self.host_ports: Dict[Tuple[int, int], SwitchPort] = {}
         self.host_home_switch: Dict[int, int] = {}
-        for host_id in range(max(1, system.num_hosts)):
+        for host_id in range(system.num_hosts):
             self.host_home_switch[host_id] = host_id % num_switches
             for switch_id, switch in enumerate(self.switches):
                 port = switch.attach_host(f"host{host_id}@sw{switch_id}")
@@ -118,12 +112,6 @@ class MemoryBackends:
             dram.reset()
         for switch in self.switches:
             switch.reset()
-
-
-#: The recognised execution engines (see :meth:`SLSSystem.set_engine`).
-#: ``"packet"`` is the congestion-fidelity tier: the scalar request flow
-#: with ``repro.net`` port queues attached to every fabric link.
-ENGINES = ("scalar", "vector", "packet")
 
 
 class SLSSystem(ABC):
@@ -303,8 +291,7 @@ class SLSSystem(ABC):
         one through :meth:`service_batch_vector`, which resolves it first;
         otherwise it runs on the scalar path.
         """
-        num_hosts = max(1, self.system.num_hosts)
-        host = request.host_id % num_hosts if host_id is None else host_id
+        host = request.host_id % self.system.num_hosts if host_id is None else host_id
         if self._vector is not None:
             return self.service_batch_vector([request], start_ns, host)[0]
         finish_ns = self.process_request(request, start_ns, host)
@@ -421,8 +408,8 @@ class SLSSystem(ABC):
         """Replay ``workload`` on this system and return the result."""
         self.begin_session(workload)
 
-        num_hosts = max(1, self.system.num_hosts)
-        threads_per_host = max(1, self.system.host_threads)
+        num_hosts = self.system.num_hosts
+        threads_per_host = self.system.host_threads
         lanes = [0.0] * (num_hosts * threads_per_host)
         tracks = [
             f"h{lane // threads_per_host}.t{lane % threads_per_host}"
@@ -506,7 +493,7 @@ class SLSSystem(ABC):
                 name="local_dram",
             )
         ]
-        for device_id in range(max(1, system.num_cxl_devices)):
+        for device_id in range(system.num_cxl_devices):
             nodes.append(
                 MemoryNode(
                     node_id=device_id + 1,
@@ -532,7 +519,7 @@ class SLSSystem(ABC):
         return device_id + 1
 
     def _local_page_budget(self) -> int:
-        return max(0, self.system.local_dram_capacity_bytes // PAGE_SIZE_BYTES)
+        return self.system.local_dram_capacity_bytes // PAGE_SIZE_BYTES
 
     def _profile_page_hotness(self, workload: SLSWorkload) -> AccessTracker:
         """Count page accesses across the whole workload (profiling pass).
@@ -560,7 +547,7 @@ class SLSSystem(ABC):
         """
         tiered = TieredMemorySystem(self._make_nodes(), migration_mode=self.system.page_mgmt.migration_mode)
         budget = self._local_page_budget()
-        num_cxl = max(1, self.system.num_cxl_devices)
+        num_cxl = self.system.num_cxl_devices
         total_pages = workload.address_space.total_pages
         spill_pages = max(1, total_pages - budget)
         block = (spill_pages + num_cxl - 1) // num_cxl
@@ -581,7 +568,7 @@ class SLSSystem(ABC):
         """PM placement: hottest pages local, cold pages interleaved over CXL."""
         tiered = TieredMemorySystem(self._make_nodes(), migration_mode=self.system.page_mgmt.migration_mode)
         budget = self._local_page_budget()
-        num_cxl = max(1, self.system.num_cxl_devices)
+        num_cxl = self.system.num_cxl_devices
         hotness = self._profile_page_hotness(workload)
         ranked = [page for page, _ in hotness.hottest(workload.address_space.total_pages)]
         hot_set = set(ranked[:budget])
@@ -599,7 +586,7 @@ class SLSSystem(ABC):
     def place_cxl_only(self, workload: SLSWorkload) -> TieredMemorySystem:
         """BEACON-style placement: everything lives in CXL memory."""
         tiered = TieredMemorySystem(self._make_nodes(), migration_mode=self.system.page_mgmt.migration_mode)
-        num_cxl = max(1, self.system.num_cxl_devices)
+        num_cxl = self.system.num_cxl_devices
         placement = {
             page: 1 + (page % num_cxl) for page in range(workload.address_space.total_pages)
         }

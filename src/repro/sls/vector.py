@@ -87,8 +87,7 @@ class VectorContext:
         except (ValueError, RuntimeError) as error:
             raise VectorUnsupportedError(str(error)) from error
 
-        num_hosts = max(1, system.system.num_hosts)
-        self.num_hosts = num_hosts
+        num_hosts = self.num_hosts = system.system.num_hosts
         self.num_local_drams = len(self.local_dram_kernels)
         self.device_switch: List[int] = [
             backends.device_switch[device_id] for device_id in range(len(backends.devices))

@@ -183,7 +183,7 @@ class WindowBags:
         sample = sample[kept]
         return cls(
             request_id=first_id + np.arange(int(np.count_nonzero(kept)), dtype=np.int64),
-            host=(host_id + sample) % max(1, num_hosts),
+            host=(host_id + sample) % num_hosts,
             table=table[kept],
             sample=sample,
             start=start[kept],
@@ -253,6 +253,11 @@ class WindowBags:
         return requests
 
 
+def _check_num_hosts(num_hosts: int) -> None:
+    if num_hosts < 1:
+        raise ValueError(f"num_hosts must be >= 1, got {num_hosts!r}")
+
+
 def workload_from_batches(
     batches: List[TraceBatch],
     model: ModelConfig,
@@ -276,6 +281,7 @@ def workload_from_batches(
     multi-host experiments where concurrent hosts issue batches against
     the same tables.
     """
+    _check_num_hosts(num_hosts)
     space = space or AddressSpace.for_model(model)
     row_bytes = model.embedding_row_bytes
     requests: List[SLSRequest] = []
@@ -331,12 +337,13 @@ class StreamingWorkload:
     ) -> None:
         if window_batches <= 0:
             raise ValueError("window_batches must be positive")
+        _check_num_hosts(num_hosts)
         self.stream = as_batch_stream(stream)
         self.model = model
         self.address_space = space or AddressSpace.for_model(model)
         self.distribution = distribution
         self.host_id = host_id
-        self.num_hosts = max(1, num_hosts)
+        self.num_hosts = num_hosts
         self.window_batches = window_batches
         self._batch_size = batch_size
         self._num_batches = num_batches
@@ -346,7 +353,7 @@ class StreamingWorkload:
     # Whole-trace aggregates (one batch-level pass, cached)
     # ------------------------------------------------------------------
     def _scanned(self) -> dict:
-        """Count requests/lookups without flattening any request objects."""
+        """Count requests/lookups by the :class:`WindowBags` rule, building no request."""
         if self._scan is None:
             num_requests = 0
             total_lookups = 0
@@ -356,12 +363,9 @@ class StreamingWorkload:
                 if num_batches == 0:
                     batch_size = batch.batch_size
                 num_batches += 1
-                for table in range(batch.num_tables):
-                    indices = batch.indices_per_table[table]
-                    offsets = np.asarray(batch.offsets_per_table[table])
-                    bounds = np.concatenate([offsets, [len(indices)]])
-                    num_requests += int(np.count_nonzero(np.diff(bounds)))
-                    total_lookups += int(len(indices))
+                bags = WindowBags.of([batch], num_requests)
+                num_requests += len(bags)
+                total_lookups += int(bags.length.sum())
             self._scan = {
                 "num_requests": num_requests,
                 "total_lookups": total_lookups,

@@ -332,6 +332,7 @@ class TestRunSpecValidation:
             ("num_cxl_devices", 0),
             ("fleet_shards", -1),
             ("fleet_router", "round-robin"),
+            ("engine", "warp"),
         ],
     )
     def test_run_spec_rejects_an_invalid_field_by_name(self, field, value):

@@ -1,7 +1,14 @@
 """Tests for repro.config."""
 
+import ast
+import dataclasses
+import inspect
+import pathlib
+
+import numpy as np
 import pytest
 
+import repro.config
 from repro.config import (
     DDR4_TIMINGS,
     DDR5_TIMINGS,
@@ -20,6 +27,8 @@ from repro.config import (
     scaled_model,
 )
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
+from repro.traces.meta import TraceBatch
+from repro.traces.workload import StreamingWorkload, workload_from_batches
 
 
 class TestDRAMTimings:
@@ -126,7 +135,27 @@ class TestSystemConfig:
 
 
 class TestValidation:
-    """Buffer and page-management configs reject bad values where they are built."""
+    """Configs and workloads reject bad values where they are built."""
+
+    @pytest.mark.parametrize(
+        "field", ["num_hosts", "num_cxl_devices", "num_fabric_switches", "host_threads"]
+    )
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_system_config_rejects_a_count_below_one(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{field: value})
+
+    def test_system_config_rejects_a_negative_capacity(self):
+        with pytest.raises(ValueError, match="local_dram_capacity_bytes"):
+            SystemConfig(local_dram_capacity_bytes=-1)
+        assert SystemConfig(local_dram_capacity_bytes=0).local_dram_capacity_bytes == 0
+
+    def test_workloads_reject_zero_hosts(self):
+        batches = [TraceBatch([np.arange(4)], [np.array([0, 2])])]
+        with pytest.raises(ValueError, match="num_hosts"):
+            workload_from_batches(batches, RMC1, num_hosts=0)
+        with pytest.raises(ValueError, match="num_hosts"):
+            StreamingWorkload(batches, RMC1, num_hosts=0)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -163,3 +192,42 @@ class TestValidation:
         buffer = OnSwitchBuffer(BufferConfig(), 64)
         with pytest.raises(ValueError, match="capacity_bytes"):
             buffer.resize(-64)
+
+
+def _attribute_reads():
+    """Names read as ``.name`` anywhere in ``src/repro``.
+
+    The validators in ``repro/config.py`` (``__post_init__``) belong to the
+    declarations and do not count as reads.
+    """
+    package = pathlib.Path(repro.config.__file__).parent
+    reads = set()
+    for path in package.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        validators = set()
+        if path == pathlib.Path(repro.config.__file__):
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                    validators.update(id(inner) for inner in ast.walk(node))
+        reads.update(
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and id(node) not in validators
+        )
+    return reads
+
+
+def test_every_config_field_is_read():
+    """A knob nothing reads changes nothing when set: keep none."""
+    reads = _attribute_reads()
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in vars(repro.config).values()
+        if inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == repro.config.__name__
+        for field in dataclasses.fields(cls)
+        if field.name not in reads
+    ]
+    assert unread == []

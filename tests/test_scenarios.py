@@ -167,6 +167,21 @@ class TestScenarioDefinition:
         with pytest.raises(ValueError, match="qps must be positive"):
             TrafficSpec(qps=0.0)
 
+    @pytest.mark.parametrize(
+        "knob, value, field",
+        [
+            ("qps", float("nan"), "qps"),
+            ("qps", float("inf"), "qps"),
+            ("max_batch_size", 0, "max_batch_size"),
+            ("max_wait_us", -1.0, "max_wait_ns"),
+            ("sla_ms", 0.0, "sla_ns"),
+            ("sla_ms", -1.0, "sla_ns"),
+        ],
+    )
+    def test_traffic_spec_rejects_what_serve_config_rejects(self, knob, value, field):
+        with pytest.raises(ValueError, match=field):
+            TrafficSpec(**{knob: value})
+
     def test_invalid_fault_parameters(self):
         with pytest.raises(ValueError):
             LinkDegradation(bandwidth_scale=0.0)

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import RMC1, WorkloadConfig, scaled_model
+from repro.baselines.pond import PondSystem
+from repro.config import DEFAULT_SYSTEM, RMC1, WorkloadConfig, scaled_model
 from repro.memsys.address_space import AddressSpace
 from repro.fleet.router import _request_key
 from repro.traces.files import save_criteo_tsv, save_trace, workload_from_trace
@@ -311,6 +312,22 @@ class TestStreamingWorkloadContract:
         streaming = build_workload(config, streaming=True)
         with pytest.raises(ValueError, match="window_batches must be positive"):
             next(streaming.iter_windows(0))
+
+    @pytest.mark.parametrize("offsets", [[2, 3], [0, 4, 2]])
+    def test_counts_follow_the_bag_rule(self, offsets):
+        """Offsets that skip leading indices or run backwards: every count
+        is the count of the requests the stream yields and replays."""
+        batches = [TraceBatch([np.arange(5, dtype=np.int64)], [np.array(offsets)])]
+        eager = workload_from_batches(batches, MODEL)
+        streaming = StreamingWorkload(MemoryBatchStream(batches), MODEL)
+        yielded = list(streaming)
+        lookups = sum(request.num_candidates for request in yielded)
+        assert len(streaming) == len(yielded) == len(eager)
+        assert streaming.total_lookups == lookups == eager.total_lookups
+        sim = PondSystem(DEFAULT_SYSTEM).run(streaming)
+        assert sim == PondSystem(DEFAULT_SYSTEM).run(eager)
+        assert (sim.requests, sim.lookups) == (len(yielded), lookups)
+        assert sim.local_rows + sim.cxl_rows == lookups
 
     def test_pickles_as_a_handle(self, tmp_path):
         """Sweep workers receive path + params, not megabytes of arrays."""
