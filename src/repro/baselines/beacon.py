@@ -47,7 +47,7 @@ class BeaconSystem(SLSSystem):
         rows: List[RowFetch] = []
         for address in request.addresses:
             address = int(address)
-            self.tiered.record_access(address, start_ns)
+            self.tiered.record_access(address)
             rows.append(RowFetch(address=address, device_id=self.device_of_address(address)))
         self._counters["cxl_rows"] += len(rows)
 
@@ -70,11 +70,8 @@ class BeaconSystem(SLSSystem):
         begin, end = ctx.bounds[request.request_id]
         # CXL-only placement: the precomputed split is the whole bag.
         _, remote_ks, remote_devs, _ = ctx.split(begin, end)
-        page_slice = ctx.page[begin:end]
-        # Every row is recorded at issue time: bulk-update the buffered
-        # counters in C instead of three dict operations per row.
-        ctx.pending_pages.extend(page_slice)
-        ctx.page_last.update(dict.fromkeys(page_slice, start_ns))
+        # Every row is recorded: one C-level bulk append for the bag.
+        ctx.pending_pages.extend(ctx.page[begin:end])
         self._counters["cxl_rows"] += len(remote_ks)
 
         _, notified = ctx.switch_kernels[0].accumulate(

@@ -7,6 +7,7 @@ from dataclasses import replace
 from repro.api.registry import register_system
 from repro.config import SystemConfig
 from repro.memsys.tiered import TieredMemorySystem
+from repro.pagemgmt.epoch import run_page_management_epoch
 from repro.pagemgmt.global_hotness import GlobalHotnessPolicy
 from repro.pagemgmt.spreading import SpreadingPolicy
 from repro.sls.engine import SLSSystem
@@ -47,12 +48,10 @@ class PondPMSystem(SLSSystem):
         return self.host_accumulate_bag_vector(request, start_ns, host_id)
 
     def maintenance(self, now_ns: float) -> float:
-        row_bytes = self.backends.row_bytes
-        swap = self.hotness_policy.run_epoch(self.tiered, row_bytes=row_bytes)
-        balance = self.spreading_policy.rebalance(self.tiered, row_bytes=row_bytes)
-        cost = swap.cost_ns + balance.cost_ns
+        cost = run_page_management_epoch(
+            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
+        )
         self.add_migration_cost(cost)
-        self.tiered.decay_hotness(0.5)
         # OS page-granular migration blocks the queries touching the page for
         # a sizeable fraction of the copy time.
         return cost * 0.25

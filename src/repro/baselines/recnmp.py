@@ -9,6 +9,7 @@ from repro.config import KIB, BufferConfig, SystemConfig
 from repro.cxl.protocol import MemOpcode
 from repro.memsys.tiered import TieredMemorySystem
 from repro.net.packet import Priority
+from repro.pagemgmt.epoch import run_page_management_epoch
 from repro.pagemgmt.global_hotness import GlobalHotnessPolicy
 from repro.pagemgmt.spreading import SpreadingPolicy
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
@@ -77,7 +78,7 @@ class RecNMPSystem(SLSSystem):
         issue = start_ns + self.NMP_COMMAND_NS
         last_row = issue
         for address in addresses:
-            self.tiered.record_access(address, start_ns)
+            self.tiered.record_access(address)
             self._counters["local_rows"] += 1
             if self._rank_cache.lookup(address):
                 self._counters["buffer_hits"] += 1
@@ -107,7 +108,7 @@ class RecNMPSystem(SLSSystem):
             port = self.backends.host_port(host_id, switch.switch_id)
             last_row = start_ns
             for address in device_addresses:
-                self.tiered.record_access(address, start_ns)
+                self.tiered.record_access(address)
                 self._counters["cxl_rows"] += 1
                 command_at_switch = (
                     port.link.transfer(
@@ -186,13 +187,10 @@ class RecNMPSystem(SLSSystem):
         ctx = self._vector
         begin, end = ctx.bounds[request.request_id]
         local_ks, remote_ks, remote_devs, _ = ctx.split(begin, end)
-        page_slice = ctx.page[begin:end]
         addr = ctx.addr
         counters = self._counters
-        # Every row is recorded at the request issue time: bulk-update the
-        # buffered counters in C instead of per-row dict arithmetic.
-        ctx.pending_pages.extend(page_slice)
-        ctx.page_last.update(dict.fromkeys(page_slice, start_ns))
+        # Every row is recorded: one C-level bulk append for the bag.
+        ctx.pending_pages.extend(ctx.page[begin:end])
         cache = self._rank_cache_kernel
         # The RankCache is LRU: the profiler feed is bulk-recorded once per
         # bag (every row is probed exactly once) and the per-row probe skips
@@ -306,12 +304,10 @@ class RecNMPSystem(SLSSystem):
     def maintenance(self, now_ns: float) -> float:
         if not self.page_management:
             return 0.0
-        row_bytes = self.backends.row_bytes
-        swap = self.hotness_policy.run_epoch(self.tiered, row_bytes=row_bytes)
-        balance = self.spreading_policy.rebalance(self.tiered, row_bytes=row_bytes)
-        cost = swap.cost_ns + balance.cost_ns
+        cost = run_page_management_epoch(
+            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
+        )
         self.add_migration_cost(cost)
-        self.tiered.decay_hotness(0.5)
         return cost * 0.25
 
 

@@ -270,7 +270,6 @@ class BufferConfig:
 class PageManagementConfig:
     """Software page-management parameters (§IV-B)."""
 
-    enabled: bool = True
     # "migrate threshold": a CXL node is considered warm when its access
     # count exceeds the average of the other nodes by (1 - threshold).
     migrate_threshold: float = 0.35

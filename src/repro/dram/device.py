@@ -210,15 +210,14 @@ class DRAMKernel:
     def mlp_bag(self, mlp: int, overhead_ns: float, accumulate_ns: float):
         """Fused MLP-grouped bag accumulation over this device (one call/bag).
 
-        Returns ``bag(ks, lch, lfb, lrow, start_ns, page, page_last)``: the
-        exact per-row loop of the PIFS local accumulation — rows issued in
-        ``mlp``-sized groups, each group's finish is the max over its
-        per-row DRAM accesses plus ``overhead_ns``, the group then pays the
-        SIMD ``accumulate_ns`` per row, and every row stamps its page's
-        last-access time at the group cursor — with the DRAM bank/bus state
-        *and* the loop in one closure, so a whole bag costs one Python
-        call.  Built once per session; arithmetic and iteration order are
-        identical to calling :attr:`access` per row.
+        Returns ``bag(ks, lch, lfb, lrow, start_ns)``: the exact per-row
+        loop of the PIFS local accumulation — rows issued in ``mlp``-sized
+        groups, each group's finish is the max over its per-row DRAM
+        accesses plus ``overhead_ns``, and the group then pays the SIMD
+        ``accumulate_ns`` per row — with the DRAM bank/bus state *and* the
+        loop in one closure, so a whole bag costs one Python call.  Built
+        once per session; arithmetic and iteration order are identical to
+        calling :attr:`access` per row.
         """
         bank_open = self.bank_open
         bank_ready = self.bank_ready
@@ -236,7 +235,7 @@ class DRAMKernel:
         burst_time = self.burst_time
         dram_overhead = self.overhead_ns
 
-        def bag(ks, lch, lfb, lrow, start_ns, page, page_last):
+        def bag(ks, lch, lfb, lrow, start_ns):
             count = len(ks)
             cursor = start_ns
             finish = start_ns
@@ -248,7 +247,6 @@ class DRAMKernel:
                 group_finish = cursor
                 for position in range(index, group_end):
                     k = ks[position]
-                    page_last[page[k]] = cursor
                     flat_bank = lfb[k]
                     # --- inlined DRAMKernel.access ---
                     ready_at = bank_ready[flat_bank]

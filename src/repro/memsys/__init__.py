@@ -11,7 +11,7 @@ from repro.memsys.address_space import AddressSpace
 from repro.memsys.allocator import InterleaveAllocator, PlacementPolicy
 from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
-from repro.memsys.page import Page, page_id_of
+from repro.memsys.page import page_id_of
 from repro.memsys.tiered import TieredMemorySystem
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "AccessTracker",
     "MemoryNode",
     "MemoryTier",
-    "Page",
     "page_id_of",
     "TieredMemorySystem",
 ]

@@ -1,8 +1,6 @@
-"""Page abstraction used by the tiered memory system."""
+"""Page arithmetic of the embedding address space."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.config import PAGE_SIZE_BYTES
 
@@ -14,28 +12,4 @@ def page_id_of(address: int, page_size: int = PAGE_SIZE_BYTES) -> int:
     return address // page_size
 
 
-@dataclass
-class Page:
-    """A 4 KB page tracked by the tiered memory system."""
-
-    page_id: int
-    node_id: int
-    access_count: int = 0
-    last_access_ns: float = 0.0
-    is_private_hot: bool = False
-    owner_host: int | None = None
-    migrations: int = 0
-
-    def record_access(self, now_ns: float) -> None:
-        """Record one access to this page."""
-        self.access_count += 1
-        self.last_access_ns = now_ns
-
-    def decay(self, factor: float = 0.5) -> None:
-        """Exponentially decay the access count (used between epochs)."""
-        if not 0.0 <= factor <= 1.0:
-            raise ValueError("decay factor must be in [0, 1]")
-        self.access_count = int(self.access_count * factor)
-
-
-__all__ = ["Page", "page_id_of"]
+__all__ = ["page_id_of"]

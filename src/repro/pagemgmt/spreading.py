@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.config import PAGE_SIZE_BYTES
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.tiered import TieredMemorySystem
 
@@ -90,10 +91,9 @@ class SpreadingPolicy:
                 for page_id, page_count in hottest:
                     if migrations >= self.max_migrations_per_epoch:
                         break
-                    page = tiered.page(page_id)
-                    if page.node_id != warm_id:
+                    if tiered.node_of_page(page_id).node_id != warm_id:
                         continue
-                    if not destination.can_fit(tiered.page_size):
+                    if not destination.can_fit(PAGE_SIZE_BYTES):
                         # Destination full: swap with the destination's
                         # coldest page instead of a one-way migration.
                         dest_tracker = tiered.node_access_tracker(destination.node_id)

@@ -9,6 +9,7 @@ from repro.api.registry import register_system
 from repro.config import SystemConfig
 from repro.cxl.topology import FabricTopology
 from repro.memsys.tiered import TieredMemorySystem
+from repro.pagemgmt.epoch import run_page_management_epoch
 from repro.pagemgmt.global_hotness import GlobalHotnessPolicy
 from repro.pagemgmt.spreading import SpreadingPolicy
 from repro.pifs.forwarding import MultiSwitchCoordinator
@@ -40,7 +41,7 @@ class PIFSRecSystem(SLSSystem):
         spreading_policy: Optional[SpreadingPolicy] = None,
     ) -> None:
         super().__init__(system, use_pifs_switch=True)
-        self.page_management = page_management and system.page_mgmt.enabled
+        self.page_management = page_management
         self.hotness_policy = hotness_policy or GlobalHotnessPolicy(
             cold_age_threshold=system.page_mgmt.cold_age_threshold
         )
@@ -100,7 +101,7 @@ class PIFSRecSystem(SLSSystem):
 
         # Record CXL accesses for placement policies and counters.
         for address in split.remote_addresses:
-            self.tiered.record_access(address, start_ns)
+            self.tiered.record_access(address)
         self._counters["cxl_rows"] += len(split.remote_addresses)
 
         remote_done = self._accumulate_in_fabric(split.remote_addresses, start_ns, host_id, request)
@@ -175,13 +176,8 @@ class PIFSRecSystem(SLSSystem):
         ctx = self._vector
         begin, end = ctx.bounds[request.request_id]
         local_ks, remote_ks, remote_devs, remote_sws = ctx.split(begin, end)
-        page = ctx.page
-        page_last = ctx.page_last
-        # Counts carry no timestamps: bulk-append the whole bag in C (the
-        # Counter is built at flush).  A page holds rows of exactly one
-        # node, so the local (cursor-stamped) and remote (issue-stamped)
-        # page sets below are disjoint.
-        ctx.pending_pages.extend(page[begin:end])
+        # Bulk-append the whole bag in C; counting waits for the flush.
+        ctx.pending_pages.extend(ctx.page[begin:end])
         host = self.hosts[host_id]
         stats = host.stats
         stats.local_rows += len(local_ks)
@@ -191,18 +187,15 @@ class PIFSRecSystem(SLSSystem):
         # the per-host fused DRAM bag closure (one Python call per bag).
         local_done = start_ns
         if local_ks:
-            local_done = self._local_bags[host_id](
-                local_ks, ctx.lch, ctx.lfb, ctx.lrow, start_ns, page, page_last
-            )
+            local_done = self._local_bags[host_id](local_ks, ctx.lch, ctx.lfb, ctx.lrow, start_ns)
             self._counters["local_rows"] += len(local_ks)
 
         if not remote_ks:
             return local_done
 
-        # Remote candidates: record at issue time, then accumulate in-fabric.
+        # Remote candidates: accumulate in-fabric.
         addr = ctx.addr
         cch, cfb, crow = ctx.cch, ctx.cfb, ctx.crow
-        page_last.update(dict.fromkeys([page[k] for k in remote_ks], start_ns))
         self._counters["cxl_rows"] += len(remote_ks)
 
         dev_access = ctx.dev_access_switch
@@ -269,12 +262,10 @@ class PIFSRecSystem(SLSSystem):
     def maintenance(self, now_ns: float) -> float:
         if not self.page_management:
             return 0.0
-        row_bytes = self.backends.row_bytes
-        swap = self.hotness_policy.run_epoch(self.tiered, row_bytes=row_bytes)
-        balance = self.spreading_policy.rebalance(self.tiered, row_bytes=row_bytes)
-        cost = swap.cost_ns + balance.cost_ns
+        cost = run_page_management_epoch(
+            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
+        )
         self.add_migration_cost(cost)
-        self.tiered.decay_hotness(0.5)
         # Cache-line-block migration barely blocks query processing; OS
         # page-block migration stalls the queries that touch the page for a
         # sizeable fraction of the copy.

@@ -609,7 +609,7 @@ class SLSSystem(ABC):
     def host_local_access(self, address: int, start_ns: float, host_id: int = 0) -> float:
         """A host load served by that host's local DRAM."""
         self._counters["local_rows"] += 1
-        self.tiered.record_access(address, start_ns)
+        self.tiered.record_access(address)
         dram = self.backends.local_dram_of_host(host_id)
         finish = dram.access(address, start_ns, bytes_requested=self.backends.row_bytes)
         return finish + self.HOST_LOCAL_OVERHEAD_NS
@@ -618,7 +618,7 @@ class SLSSystem(ABC):
         """A host load served by a CXL device through the fabric switch."""
         self._counters["cxl_rows"] += 1
         self._counters["bytes_to_host"] += self.backends.row_bytes
-        self.tiered.record_access(address, start_ns)
+        self.tiered.record_access(address)
         device_id = self.device_of_address(address)
         switch = self.backends.switch_of_device(device_id)
         port = self.backends.host_port(host_id, switch.switch_id)
@@ -657,22 +657,19 @@ class SLSSystem(ABC):
         ctx = self._vector
         begin, end = ctx.bounds[request.request_id]
         local_flags, row_device, offset = ctx.window_flags(begin, end)
-        page = ctx.page
         lch, lfb, lrow = ctx.lch, ctx.lfb, ctx.lrow
         cch, cfb, crow = ctx.cch, ctx.cfb, ctx.crow
         dram_access = ctx.local_access[host_id % ctx.num_local_drams]
         host_reads = ctx.port_host_read[host_id]
         dev_access = ctx.dev_access_host
         device_switch = ctx.device_switch
-        page_last = ctx.page_last
         local_overhead = self.HOST_LOCAL_OVERHEAD_NS
         cxl_overhead = self.HOST_CXL_OVERHEAD_NS
         accumulate_ns = self.HOST_ACCUMULATE_NS_PER_ROW
         mlp = self.HOST_MLP
 
-        # Counts are timestamp-free: one C-level bulk append for the bag
-        # (the Counter is built once at flush time).
-        ctx.pending_pages.extend(page[begin:end])
+        # One C-level bulk append for the bag; counting waits for the flush.
+        ctx.pending_pages.extend(ctx.page[begin:end])
         local_rows = 0
         cxl_rows = 0
         cursor = start_ns
@@ -683,7 +680,6 @@ class SLSSystem(ABC):
                 group_end = end
             group_finish = cursor
             for k in range(index, group_end):
-                page_last[page[k]] = cursor
                 if local_flags[k - offset]:
                     local_rows += 1
                     finish = dram_access(lch[k], lfb[k], lrow[k], cursor) + local_overhead
@@ -715,7 +711,7 @@ class SLSSystem(ABC):
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def add_migration_cost(self, cost_ns: float, migrations: int = 0) -> None:
+    def add_migration_cost(self, cost_ns: float) -> None:
         self._migration_cost_ns += cost_ns
 
     def _build_result(self, workload: SLSWorkload, total_ns: float) -> SimResult:

@@ -20,20 +20,20 @@ path as the oracle* and restructures the work in two stages:
    every finish time is bit-identical to the scalar engine.
 
 Access-counter side effects (page/node hotness feeding the page-management
-policies) are buffered in plain dicts and flushed through
-:meth:`~repro.memsys.tiered.TieredMemorySystem.apply_access_counts` before
-every maintenance pass and at session end, preserving every placement
-decision the scalar engine would make.
+policies) are buffered as a list of page ids and flushed through
+:meth:`~repro.memsys.tiered.TieredMemorySystem.record_pages` before every
+maintenance pass and at session end, preserving every placement decision
+the scalar engine would make.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.config import PAGE_SIZE_BYTES
 from repro.memsys.node import placement_arrays
 
 
@@ -115,15 +115,10 @@ class VectorContext:
         #: RecNMP's rank cache); synced together with the layer kernels.
         self.extra_kernels: List = []
 
-        # Buffered access-recording side effects (flushed before maintenance).
-        # A Counter so uniform-timestamp paths can record whole requests with
-        # one C-level ``update`` instead of per-row dict arithmetic; counts
-        # are only ever read at flush time, so the request paths merely
-        # ``extend`` page-id slices onto ``pending_pages`` (a C-level list
-        # append) and the Counter is built once per flush.
-        self.page_counts: Counter = Counter()
+        # Buffered access-recording side effects (flushed before maintenance):
+        # the request paths ``extend`` page-id slices onto ``pending_pages``
+        # (a C-level list append) and the counting happens once per flush.
         self.pending_pages: List[int] = []
-        self.page_last: Dict[int, float] = {}
 
         self._bind_closures()
         system.prepare_vector(self)
@@ -158,7 +153,7 @@ class VectorContext:
         ))
 
         self.addr: List[int] = addresses.tolist()
-        self._page_np = addresses // self.tiered.page_size
+        self._page_np = addresses // PAGE_SIZE_BYTES
         self.page: List[int] = self._page_np.tolist()
 
         backends = self.backends
@@ -197,7 +192,7 @@ class VectorContext:
     def _ensure_window(self, begin: int, end: int) -> None:
         """Make the cached window cover positions ``[begin, end)``.
 
-        The window is re-gathered through the dense page table when the
+        The window is re-gathered through the node column when the
         placement generation changes or the request leaves the cached range;
         the closed-loop replay consumes positions in order, so each epoch
         re-gathers about what it consumes (see :attr:`NODE_WINDOW`).  One
@@ -308,12 +303,8 @@ class VectorContext:
             obs.count("vector.flush.calls")
             obs.add("vector.flush.pages", len(self.pending_pages))
         if self.pending_pages:
-            self.page_counts.update(self.pending_pages)
+            self.tiered.record_pages(self.pending_pages)
             self.pending_pages = []
-        if self.page_counts:
-            self.tiered.apply_access_counts(self.page_counts, self.page_last)
-            self.page_counts = Counter()
-            self.page_last = {}
 
     def flush_all(self) -> None:
         """Flush counters and write every kernel's state back to the models."""

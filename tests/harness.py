@@ -113,10 +113,10 @@ def backend_fingerprint(system) -> dict:
              port.link.busy_until_ns, port.link.total_queue_delay_ns)
             for key, port in backends.host_ports.items()
         ),
-        "pages": [
-            (page.page_id, page.node_id, page.access_count, page.last_access_ns)
-            for page in system.tiered.pages()
-        ],
+        "pages": (
+            system.tiered.node_id_table().tolist(),
+            system.tiered.access_count_table().tolist(),
+        ),
         "node_access": {
             node.node_id: system.tiered.node_access_tracker(node.node_id).as_dict()
             for node in system.tiered.nodes()

@@ -29,7 +29,7 @@ from harness import (
 )
 from repro.api.registry import available_systems, create_system
 from repro.api.session import Simulation, RunSpec, build_system, clear_cache
-from repro.config import DEFAULT_SYSTEM, RMC1, WorkloadConfig, scaled_model
+from repro.config import DEFAULT_SYSTEM, PAGE_SIZE_BYTES, RMC1, WorkloadConfig, scaled_model
 from repro.dram.device import DRAMDevice
 from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier, placement_arrays
@@ -416,17 +416,14 @@ class TestBatchedPrimitives:
         addresses = np.array([0, 100, 4096, 8191, 8200, 100], dtype=np.int64)
         scalar = fresh()
         for address in addresses.tolist():
-            scalar.record_access(int(address), 42.0)
+            scalar.record_access(int(address))
         batched = fresh()
-        batched.record_accesses(addresses, 42.0)
-        for page_id in (0, 1, 2):
-            assert scalar.page(page_id).access_count == batched.page(page_id).access_count
-            assert scalar.page(page_id).last_access_ns == batched.page(page_id).last_access_ns
+        batched.record_pages((addresses // PAGE_SIZE_BYTES).tolist())
+        assert np.array_equal(scalar.access_count_table(), batched.access_count_table())
         assert scalar.node_access_counts() == batched.node_access_counts()
         for node_id in (0, 1):
-            assert (
-                scalar.node_access_tracker(node_id).as_dict()
-                == batched.node_access_tracker(node_id).as_dict()
+            assert list(scalar.node_access_tracker(node_id).as_dict().items()) == list(
+                batched.node_access_tracker(node_id).as_dict().items()
             )
 
     def test_node_id_table_tracks_generation(self):
@@ -444,7 +441,7 @@ class TestBatchedPrimitives:
         assert tiered.generation > generation
         assert tiered.node_id_table().tolist() == [1, 1]
         with pytest.raises(KeyError):
-            tiered.node_ids_of_pages(np.array([7]))
+            tiered.node_of_page(7)
 
     def test_placement_arrays(self):
         nodes = [

@@ -4,7 +4,8 @@ Three periodic steps update what changed since the previous one instead of
 rescanning everything:
 
 * HTR curation re-keys only the rows probed since the last curation;
-* migrations patch the cached dense node table instead of invalidating it;
+* migrations write the ``page id -> node id`` column in place instead of
+  rebuilding it;
 * the vector engine re-gathers about what the previous placement
   generation consumed instead of a fixed window.
 
@@ -159,13 +160,12 @@ def test_curation_does_not_rebuild_the_heap_every_time():
 
 
 # ----------------------------------------------------------------------
-# The cached node table
+# The node column
 # ----------------------------------------------------------------------
-def _fresh_table(tiered):
-    pages = tiered.pages()
-    table = np.full(max(page.page_id for page in pages) + 1, -1, dtype=np.int64)
-    for page in pages:
-        table[page.page_id] = page.node_id
+def _fresh_table(placement):
+    table = np.full(max(placement) + 1, -1, dtype=np.int64)
+    for page_id, node_id in placement.items():
+        table[page_id] = node_id
     return table
 
 
@@ -187,18 +187,24 @@ def test_patched_node_table_equals_a_fresh_build(moves):
         for node_id in range(4)
     ]
     tiered = TieredMemorySystem(nodes)
-    tiered.install_placement({page_id: page_id % 4 for page_id in range(0, 16, 2)})
+    placement = {page_id: page_id % 4 for page_id in range(0, 16, 2)}
+    tiered.install_placement(placement)
     for op, a, b in moves:
-        placed = [page.page_id for page in tiered.pages()]
+        placed = sorted(placement)
         if op == "migrate":
-            tiered.migrate_page(placed[a % len(placed)], b % 4)
+            page_id = placed[a % len(placed)]
+            tiered.migrate_page(page_id, b % 4)
+            placement[page_id] = b % 4
         elif op == "swap":
-            tiered.swap_pages(placed[a % len(placed)], placed[b % len(placed)])
-        elif op == "place" and a not in placed:
+            page_a, page_b = placed[a % len(placed)], placed[b % len(placed)]
+            tiered.swap_pages(page_a, page_b)
+            placement[page_a], placement[page_b] = placement[page_b], placement[page_a]
+        elif op == "place" and a not in placement:
             tiered.place_page(a, b % 4)
+            placement[a] = b % 4
         elif op == "read":
-            assert np.array_equal(tiered.node_id_table(), _fresh_table(tiered))
-    assert np.array_equal(tiered.node_id_table(), _fresh_table(tiered))
+            assert np.array_equal(tiered.node_id_table(), _fresh_table(placement))
+    assert np.array_equal(tiered.node_id_table(), _fresh_table(placement))
 
 
 # ----------------------------------------------------------------------

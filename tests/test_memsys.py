@@ -7,7 +7,7 @@ from repro.memsys.address_space import AddressSpace
 from repro.memsys.allocator import InterleaveAllocator, PlacementPolicy
 from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
-from repro.memsys.page import Page, page_id_of
+from repro.memsys.page import page_id_of
 from repro.memsys.tiered import TieredMemorySystem
 
 
@@ -32,16 +32,17 @@ class TestPage:
             page_id_of(-1)
 
     def test_record_and_decay(self):
-        page = Page(page_id=0, node_id=0)
-        page.record_access(1.0)
-        page.record_access(2.0)
-        assert page.access_count == 2
-        page.decay(0.5)
-        assert page.access_count == 1
+        tiered = TieredMemorySystem(make_nodes())
+        tiered.place_page(0, 0)
+        tiered.record_access(1)
+        tiered.record_access(2)
+        assert tiered.access_count_table()[0] == 2
+        tiered.decay_hotness(0.5)
+        assert tiered.access_count_table()[0] == 1
 
     def test_decay_validation(self):
         with pytest.raises(ValueError):
-            Page(0, 0).decay(1.5)
+            TieredMemorySystem(make_nodes()).decay_hotness(1.5)
 
 
 class TestMemoryNode:
@@ -212,8 +213,8 @@ class TestTieredMemorySystem:
 
     def test_record_access_updates_counters(self):
         tiered = self._system()
-        tiered.record_access(100, now_ns=5.0)
-        assert tiered.page(0).access_count == 1
+        tiered.record_access(100)
+        assert tiered.access_count_table()[0] == 1
         assert tiered.node(0).access_count == 1
 
     def test_migrate_page_moves_capacity(self):
@@ -257,4 +258,4 @@ class TestTieredMemorySystem:
         tiered.record_access(0)
         tiered.reset_access_counters()
         assert tiered.node(0).access_count == 0
-        assert tiered.page(0).access_count == 0
+        assert tiered.access_count_table()[0] == 0

@@ -1,0 +1,51 @@
+"""Every registered SLS system's exact result, pinned on both engines.
+
+The digest is perfbench's ``result_digest`` of the ``SimResult``: a hash
+of its JSON form, so any changed counter, latency or migration changes
+it.  Config B shortens the page-management epoch so the policies of
+Pond+PM, RecNMP, TPP and PIFS-Rec migrate often; TPP then makes fewer
+swaps than its cap and leaves its epochs through the threshold ``break``.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro import Simulation
+from repro.config import replace_page_mgmt
+
+CONFIG_A = {
+    "pond": "5ceb11e94107b3b0",
+    "pond+pm": "0eb92ec825ad27fa",
+    "beacon": "90427ee45a2b59f4",
+    "recnmp": "ed54e7b4187342b7",
+    "tpp": "e06bfd704d24970c",
+    "pifs-rec": "46a9845b5ff23e4f",
+    "pifs-rec-nopm": "51d7a3f908235c71",
+}
+CONFIG_B = {
+    "pond+pm": "b6a64d5529bb37a3",
+    "recnmp": "7ef87e01ba9cdb1b",
+    "tpp": "53ff9302a2336b3c",
+    "pifs-rec": "98678db2d617bc67",
+}
+PINS = [(system, False, digest) for system, digest in CONFIG_A.items()] + [
+    (system, True, digest) for system, digest in CONFIG_B.items()
+]
+
+
+def result_digest(sim) -> str:
+    text = json.dumps(sim.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("system, short_epoch, digest", PINS)
+def test_result_digest_is_pinned(system, short_epoch, digest, engine):
+    simulation = Simulation(system).model("RMC2").batch_size(32).num_batches(2).engine(engine)
+    if short_epoch:
+        simulation = simulation.configure(
+            lambda config: replace_page_mgmt(config, migration_epoch_accesses=256)
+        )
+    assert result_digest(simulation.run().sim) == digest
