@@ -1,32 +1,20 @@
 """Command-line interface of the reproduction (``python -m repro``).
 
-Subcommands:
+Subcommands: ``run`` (one closed-loop session), ``sweep`` (a declarative
+grid), ``serve`` (online open-loop serving with tail-latency metrics),
+``compare`` (every or selected system on one workload, with speedups),
+``figures`` (every figure/table of the paper), ``bench`` (the performance
+benchmarks, the only writer of the ``BENCH_*.json`` baselines),
+``scenario list|run|compare`` (the named-scenario catalog) and
+``systems`` (the registered systems).  Each command's ``--help`` lists
+its options and examples; ``serve --all --smoke`` and ``scenario run
+--all --smoke`` are CI guards that keep going past failures.
 
-* ``run`` — one simulation session: ``python -m repro run pifs-rec --quick``
-* ``sweep`` — a declarative grid: ``python -m repro sweep --system pond
-  --system pifs-rec --batch-size 8 --batch-size 64 --quick``
-* ``serve`` — online open-loop serving with tail-latency metrics:
-  ``python -m repro serve pifs-rec --qps 2e5 --arrival poisson --sla-ms 5``
-  (``--all --smoke`` is the CI guard: one short session per registered
-  system, failing on unknown systems or non-finite percentiles)
-* ``compare`` — every (or selected) system on one workload, normalized and
-  with speedups against a baseline
-* ``figures`` — regenerate every figure/table of the paper (subsumes the
-  old ``python -m repro.experiments.runner``)
-* ``bench`` — run the performance benchmark suite and record/update the
-  ``BENCH_*.json`` baselines, the only way they are written (``--smoke``
-  for the relaxed CI mode, which records nothing)
-* ``scenario`` — the named-scenario catalog (workload mixes, popularity
-  drift, trace files, fault injection): ``python -m repro scenario
-  list|run|compare`` (``run --all --smoke`` is the CI guard)
-* ``trace`` — observed sessions with Chrome/Perfetto ``trace_event``
-  export: ``python -m repro trace run|serve|scenario ... --out trace.json``
-  (``trace run <system> --smoke`` is the CI guard: quick scale plus
-  schema validation of the emitted trace)
-* ``fleet`` — sharded datacenter-scale simulation: N per-rack systems
-  behind a request router: ``python -m repro fleet run|serve --shards 8
-  --router table-affinity`` (``fleet run --smoke`` is the CI guard)
-* ``systems`` — list the registered systems
+``run``, ``serve`` and ``scenario run`` record their session when given
+``--trace-out`` (Chrome/Perfetto ``trace_event`` JSON, schema-validated:
+exit 1 on failure) or ``--metrics-out`` (flat metrics).  ``run`` and
+``serve`` shard it across N per-rack systems behind a request router
+with ``--shards N``, and then always check the fleet (exit 1 on failure).
 
 Also installed as the ``pifs-rec`` console script.
 """
@@ -34,15 +22,18 @@ Also installed as the ``pifs-rec`` console script.
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
 from typing import List, Optional, Sequence
 
+from repro.analysis.report import format_table
 from repro.api.registry import UnknownSystemError, available_systems
 from repro.scenarios.registry import UnknownScenarioError
-from repro.api.results import SweepResult
 from repro.api.session import Simulation
 from repro.api.sweep import Sweep
 from repro.config import ENGINES, ROUTER_POLICIES
+from repro.fleet import run_fleet, serve_fleet
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -54,7 +45,8 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_session_arguments(parser: argparse.ArgumentParser) -> None:
+    """The machine shape, engine, ``--stream`` and ``--quick`` of one session."""
     parser.add_argument(
         "--hosts", type=int, default=None, metavar="N",
         help="concurrent hosts sharing the CXL pool (default: 1)",
@@ -79,6 +71,7 @@ def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
         "queue depths, drops and backpressure (default: scalar)",
     )
     _add_stream_argument(parser)
+    _add_scale_arguments(parser)
 
 
 def _add_stream_argument(parser: argparse.ArgumentParser) -> None:
@@ -93,6 +86,64 @@ def _add_stream_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="record the session and write its Chrome/Perfetto trace_event JSON "
+        "here (load in ui.perfetto.dev); exit 1 if it fails schema validation",
+    )
+    parser.add_argument(
+        "--metrics-out", default=None, metavar="PATH",
+        help="record the session and write its flat metrics here (.csv for CSV, "
+        "anything else for JSON)",
+    )
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="shard the session across N per-rack systems behind a request "
+        "router (repro.fleet); 1 shard is bit-identical to the plain session",
+    )
+    parser.add_argument(
+        "--router", choices=ROUTER_POLICIES, default=None,
+        help="request routing policy of the shards (default: table-affinity)",
+    )
+    parser.add_argument(
+        "--fleet-seed", type=int, default=None, metavar="SEED",
+        help="router hashing/tie-break seed (default: 0)",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="worker processes executing the shards (default: 0 = in-process "
+        "serial; results are identical either way)",
+    )
+
+
+def _add_pool_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--serial", action="store_true",
+        help="evaluate in-process instead of the worker pool (results are "
+        "identical either way)",
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker process count (default: one per run, capped at the CPU count)",
+    )
+    parser.add_argument("--json", action="store_true", help="print the SweepResult as JSON")
+
+
+def _recorder(args: argparse.Namespace, names: Sequence[str], noun: str):
+    """The TraceRecorder of an exported session (exactly one of ``names``), else ``None``."""
+    if args.trace_out is None and args.metrics_out is None:
+        return None
+    if len(names) != 1:
+        raise ValueError(f"--trace-out and --metrics-out take exactly one {noun}")
+    from repro.obs.recorder import TraceRecorder
+
+    return TraceRecorder(label=f"{args.command}:{names[0]}")
+
+
 def _base_simulation(args: argparse.Namespace, system: str = "pifs-rec") -> Simulation:
     sim = Simulation(system)
     if args.quick:
@@ -105,25 +156,37 @@ def _base_simulation(args: argparse.Namespace, system: str = "pifs-rec") -> Simu
         sim.num_batches(args.num_batches)
     if getattr(args, "stream", False):
         sim.stream()
+    if getattr(args, "shards", None):
+        sim.fleet(args.shards, router=args.router, seed=args.fleet_seed)
+    else:
+        # A fleet-only option without --shards is rejected, not ignored.
+        for option in ("router", "fleet_seed", "workers"):
+            if getattr(args, option, None) is not None:
+                raise ValueError(f"--{option.replace('_', '-')} needs --shards N (N >= 1)")
     return sim
 
 
-def _print_sweep(result: SweepResult, as_json: bool, metrics: Sequence[str]) -> None:
-    if as_json:
-        print(result.to_json(indent=2))
-    else:
-        print(result.table(metrics=metrics))
+def _report_failures(kind: str, failures: Sequence[str]) -> int:
+    for failure in failures:
+        print(f"{kind} failure: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 def _cmd_run(args: argparse.Namespace) -> int:
-    sim = _base_simulation(args, args.system).model(args.model)
+    recorder = _recorder(args, [args.system], "system")
+    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
     if args.batch_size is not None:
         sim.batch_size(args.batch_size)
     if args.distribution is not None:
         sim.distribution(args.distribution)
+    status = _run_fleet(sim, args, recorder) if args.shards else _run_single(sim, args)
+    return max(status, _write_trace_outputs(recorder, args))
+
+
+def _run_single(sim: Simulation, args: argparse.Namespace) -> int:
     run = sim.run()
     if args.json:
         print(run.to_json(indent=2))
@@ -156,38 +219,67 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Default comparison set for ``python -m repro serve`` with no systems named.
-DEFAULT_SERVE_SYSTEMS = ("pifs-rec", "pond", "beacon")
+def _run_fleet(sim: Simulation, args: argparse.Namespace, recorder) -> int:
+    """``run --shards``: replay across the fleet, print it, and check its sums."""
+    result = run_fleet(sim.spec(), workers=args.workers or 0, recorder=recorder)
+    if args.json:
+        print(result.to_json(indent=2))
+    else:
+        print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
+              f"router {result.router}")
+        print(f"completion    : {result.total_ns:,.0f} ns (slowest shard)")
+        print(f"requests      : {result.requests} ({result.lookups} lookups)")
+        print(f"goodput       : {result.goodput_lookups_per_us:,.2f} lookups/us aggregate")
+        print()
+        rows = [
+            [row["shard"], row["requests"], row["lookups"], row["total_ns"]]
+            for row in result.shard_breakdown()
+        ]
+        print(format_table(["shard", "requests", "lookups", "total_ns"], rows))
+    failures = []
+    if not result.total_ns > 0:
+        failures.append("non-positive fleet completion time")
+    if sum(shard.requests for shard in result.per_shard) != len(sim.build_workload()):
+        failures.append("per-shard requests do not sum to the trace's requests")
+    return _report_failures("fleet", failures)
+
+
+#: The systems ``serve`` and ``scenario compare`` run when none are named.
+DEFAULT_SYSTEMS = ("pifs-rec", "pond", "beacon")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import math
-
-    from repro.analysis.report import format_table
-
     if args.all:
         systems = list(available_systems())
     elif args.system:
         systems = _dedupe(args.system)
     else:
-        systems = list(DEFAULT_SERVE_SYSTEMS)
+        systems = list(DEFAULT_SYSTEMS)
+    # Every flag check runs before the first session is served.
+    if args.find_max_qps and args.sla_ms is None:
+        raise ValueError("--find-max-qps requires --sla-ms")
+    recorder = _recorder(args, systems, "system")
     if args.smoke:
         args.quick = True
     sla_ns = args.sla_ms * 1e6 if args.sla_ms is not None else None
 
-    serve_kwargs = dict(
+    batching = dict(
         arrival=args.arrival,
         max_batch_size=args.max_batch,
         max_wait_ns=args.max_wait_us * 1e3,
         seed=args.seed,
-        sla_ns=sla_ns,
     )
     results = []
     failures = []
     for name in systems:
-        sim = _base_simulation(args, name).model(args.model)
+        sim = _base_simulation(args, name).model(args.model).observe(recorder)
         try:
-            result = sim.serve(args.qps, **serve_kwargs)
+            if args.shards:
+                config = sim._serve_config(args.qps, sla_ns=sla_ns, **batching)
+                result = serve_fleet(sim.spec(), config, workers=args.workers or 0,
+                                     recorder=recorder)
+            else:
+                result = sim.serve(args.qps, sla_ns=sla_ns, **batching)
         except Exception as error:  # smoke mode reports every broken system
             if not args.smoke:
                 raise
@@ -196,26 +288,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if not result.latency.is_finite():
             failures.append(f"{name}: non-finite latency percentile")
             continue
+        if args.shards and result.requests <= 0:
+            failures.append(f"{name}: the fleet served zero requests")
+            continue
         results.append((name, result))
 
     sla_sweeps = {}
     if args.find_max_qps:
-        if sla_ns is None:
-            print("error: --find-max-qps requires --sla-ms", file=sys.stderr)
-            return 2
         bounds = (args.qps_min, args.qps_max)
         for name in systems:
-            sweep = (
-                _base_simulation(args, name)
-                .model(args.model)
-                .sla_sweep(
-                    sla_ns,
-                    bounds,
-                    arrival=args.arrival,
-                    max_batch_size=args.max_batch,
-                    max_wait_ns=args.max_wait_us * 1e3,
-                    seed=args.seed,
-                )
+            sweep = _base_simulation(args, name).model(args.model).sla_sweep(
+                sla_ns, bounds, **batching
             )
             if not math.isfinite(sweep.max_sustainable_qps):
                 failures.append(f"{name}: non-finite sustainable QPS")
@@ -223,8 +306,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             sla_sweeps[name] = sweep
 
     if args.json:
-        import json
-
         payload = {"results": [result.to_dict() for _, result in results]}
         if sla_sweeps:
             payload["sla_sweeps"] = {
@@ -249,6 +330,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{args.arrival} arrivals, batch<= {args.max_batch}, "
             f"max wait {args.max_wait_us:,.0f} us"
             + (f", SLA {args.sla_ms} ms" if args.sla_ms is not None else "")
+            + (f", {args.shards} shards per system" if args.shards else "")
         )
         print(format_table(
             ["system", "p50_ns", "p95_ns", "p99_ns", "goodput_qps", "sla_attain", "max_queue"],
@@ -284,14 +366,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 ],
             ))
 
-    for failure in failures:
-        print(f"serve failure: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return max(_report_failures("serve", failures), _write_trace_outputs(recorder, args))
 
 
 def _dedupe(values):
     """Drop repeated axis values while preserving order."""
     return list(dict.fromkeys(values))
+
+
+def _baseline_run(run, baseline_runs):
+    """The baseline run at ``run``'s coordinates other than the system (or ``None``)."""
+    def coords(result):
+        return {key: value for key, value in result.params.items() if key != "system"}
+
+    return next((baseline for baseline in baseline_runs if coords(baseline) == coords(run)), None)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -307,8 +395,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not over:
         over = {"system": list(available_systems())}
     result = Sweep(over, base=_base_simulation(args)).run(parallel=not args.serial, processes=args.jobs)
-    _print_sweep(result, args.json, metrics=("total_ns", "latency_per_lookup_ns"))
-    if not args.json and over.get("system") and len(over["system"]) > 1:
+    if args.json:
+        print(result.to_json(indent=2))
+        return 0
+    print(result.table(metrics=("total_ns", "latency_per_lookup_ns")))
+    if over.get("system") and len(over["system"]) > 1:
         baseline_runs = result.where(system=over["system"][0])
         print()
         baseline_name = over["system"][0]
@@ -316,11 +407,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for run in result:
             if run.params["system"] == baseline_name:
                 continue
-            reference = next(
-                b for b in baseline_runs
-                if {k: v for k, v in b.params.items() if k != "system"}
-                == {k: v for k, v in run.params.items() if k != "system"}
-            )
+            reference = _baseline_run(run, baseline_runs)
             coords = ", ".join(
                 f"{key}={value}" for key, value in run.params.items()
                 if key != "system" and len(result.axis_values(key)) > 1
@@ -342,8 +429,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         return 0
     baseline = result.only(system=args.baseline)
     normalized = result.normalized("total_ns")
-    from repro.analysis.report import format_table
-
     rows = [
         [
             run.params["system"],
@@ -445,10 +530,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return int(pytest.main([*targets, "-q", "-s"]))
 
 
-#: Default comparison set for ``python -m repro scenario compare``.
-DEFAULT_COMPARE_SYSTEMS = ("pifs-rec", "pond", "beacon")
-
-
 def _print_scenario_run(name: str, run) -> None:
     params = run.params
     extras = []
@@ -468,8 +549,6 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
     from repro.scenarios import available_scenarios, scenario
 
     if args.json:
-        import json
-
         print(json.dumps(
             [scenario(name).to_dict() for name in available_scenarios()], indent=2
         ))
@@ -494,24 +573,27 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
     elif args.name:
         names = _dedupe(args.name)
     else:
-        print("error: name a scenario or pass --all (see 'scenario list')", file=sys.stderr)
-        return 2
+        raise ValueError("name a scenario or pass --all (see 'scenario list')")
     if args.smoke:
         args.quick = True
+    # The serve pass records on the run's recorder, so the exported timeline
+    # shows serve batching next to the engine/packet spans.
+    recorder = _recorder(args, names, "scenario")
     session_kwargs = dict(
         system=args.system, engine=args.engine, quick=args.quick,
-        stream=args.stream,
+        stream=args.stream, observe=recorder,
     )
 
     if args.export_trace:
         if len(names) != 1:
-            print("error: --export-trace takes exactly one scenario", file=sys.stderr)
-            return 2
+            raise ValueError("--export-trace takes exactly one scenario")
+        if recorder is not None:
+            raise ValueError("--export-trace runs no session for --trace-out/--metrics-out")
         from repro.traces.files import save_workload_trace
 
         workload = scenario(names[0]).simulation(**session_kwargs).build_workload()
         path = save_workload_trace(workload, args.export_trace)
-        print(f"exported {len(workload.requests)} requests "
+        print(f"exported {len(workload)} requests "
               f"({workload.total_lookups} lookups) to {path}")
         return 0
 
@@ -545,23 +627,18 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
                     f"goodput {serve_result.goodput_qps:,.0f} qps"
                 )
     if args.json:
-        import json
-
         print(json.dumps(payloads, indent=2))
-    for failure in failures:
-        print(f"scenario failure: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return max(_report_failures("scenario", failures), _write_trace_outputs(recorder, args))
 
 
 def _cmd_scenario_compare(args: argparse.Namespace) -> int:
-    from repro.analysis.report import format_table
     from repro.scenarios import scenario
 
     names = _dedupe(args.name)
     if len(names) > 1:
         return _compare_scenarios(names, args)
     entry = scenario(names[0])
-    systems = _dedupe(args.system) if args.system else list(DEFAULT_COMPARE_SYSTEMS)
+    systems = _dedupe(args.system) if args.system else list(DEFAULT_SYSTEMS)
     sweep = entry.sweep(systems=systems, engine=args.engine, quick=args.quick,
                         stream=args.stream)
     result = sweep.run(parallel=not args.serial, processes=args.jobs)
@@ -578,14 +655,7 @@ def _cmd_scenario_compare(args: argparse.Namespace) -> int:
     baseline_runs = result.where(system=baseline_system)
     rows = []
     for run in result:
-        reference = next(
-            (
-                b for b in baseline_runs
-                if {k: v for k, v in b.params.items() if k != "system"}
-                == {k: v for k, v in run.params.items() if k != "system"}
-            ),
-            None,
-        )
+        reference = _baseline_run(run, baseline_runs)
         rows.append(
             [run.params.get(axis, "") for axis in axis_names]
             + [
@@ -608,7 +678,6 @@ def _compare_scenarios(names, args: argparse.Namespace) -> int:
     parameters next to its metrics, so two rows differing only in knob
     values (e.g. two link degradations) are tellable apart.
     """
-    from repro.analysis.report import format_table
     from repro.scenarios import scenario
 
     systems = _dedupe(args.system) if args.system else [scenario(names[0]).system]
@@ -626,8 +695,6 @@ def _compare_scenarios(names, args: argparse.Namespace) -> int:
                 "run": run.to_dict(),
             })
     if args.json:
-        import json
-
         print(json.dumps(payloads, indent=2))
         return 0
     print(f"comparing {len(names)} scenarios on: {', '.join(systems)}")
@@ -659,185 +726,46 @@ def _compare_scenarios(names, args: argparse.Namespace) -> int:
 
 
 def _write_trace_outputs(recorder, args: argparse.Namespace) -> int:
-    """Validate, report and export an observed session's recorder.
+    """Validate, export and report a recorded session (nothing without a recorder).
 
-    Shared tail of every ``trace`` subcommand: schema-validate the
-    Chrome/Perfetto export (non-empty ``traceEvents``, required keys),
-    write ``--out`` / ``--metrics-out``, and print the wall-clock phase
-    attribution.  Returns 1 when the trace fails validation.
+    Shared tail of ``run``, ``serve`` and ``scenario run``: schema-validate
+    the Chrome/Perfetto export (non-empty ``traceEvents``, required keys),
+    write ``--trace-out``/``--metrics-out``, and print the wall-clock phase
+    attribution -- to stderr under ``--json``, so stdout stays one JSON
+    document.  Returns 1 when the trace fails validation.
     """
-    from repro.analysis.report import format_table
+    if recorder is None:
+        return 0
     from repro.obs.recorder import validate_chrome_trace
 
+    out = sys.stderr if args.json else sys.stdout
     problems = validate_chrome_trace(recorder.to_chrome_trace())
     suffix = f" ({recorder.dropped} dropped)" if recorder.dropped else ""
-    if args.out:
-        path = recorder.write_chrome_trace(args.out)
+    if args.trace_out:
+        path = recorder.write_chrome_trace(args.trace_out)
         print(f"trace   : {len(recorder)} events{suffix} -> {path} "
-              "(load in https://ui.perfetto.dev or chrome://tracing)")
+              "(load in https://ui.perfetto.dev or chrome://tracing)", file=out)
     else:
-        print(f"trace   : {len(recorder)} events{suffix} (pass --out to export)")
+        print(f"trace   : {len(recorder)} events{suffix} (pass --trace-out to export)",
+              file=out)
     if args.metrics_out:
         if str(args.metrics_out).lower().endswith(".csv"):
             path = recorder.write_metrics_csv(args.metrics_out)
         else:
             path = recorder.write_metrics_json(args.metrics_out)
-        print(f"metrics : {len(recorder.metrics())} series -> {path}")
+        print(f"metrics : {len(recorder.metrics())} series -> {path}", file=out)
     phases = [
         [name[len("phase."):-len("_ms")], value]
         for name, value in recorder.metrics().items()
         if name.startswith("phase.") and name.endswith("_ms")
     ]
     if phases:
-        print()
-        print("self-profile (wall-clock attribution):")
-        print(format_table(["phase", "wall_ms"], phases, float_format="{:,.3f}"))
+        print(file=out)
+        print("self-profile (wall-clock attribution):", file=out)
+        print(format_table(["phase", "wall_ms"], phases, float_format="{:,.3f}"), file=out)
     for problem in problems:
         print(f"trace schema: {problem}", file=sys.stderr)
     return 1 if problems else 0
-
-
-def _cmd_trace_run(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-
-    if args.smoke:
-        args.quick = True
-    recorder = TraceRecorder(label=f"run:{args.system}")
-    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
-    if args.batch_size is not None:
-        sim.batch_size(args.batch_size)
-    run = sim.run()
-    print(f"system  : {run.system}  engine {run.params.get('engine') or 'scalar'}, "
-          f"{run.sim.lookups} lookups, {run.total_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _cmd_trace_serve(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-
-    if args.smoke:
-        args.quick = True
-    recorder = TraceRecorder(label=f"serve:{args.system}")
-    sim = _base_simulation(args, args.system).model(args.model).observe(recorder)
-    result = sim.serve(
-        args.qps,
-        arrival=args.arrival,
-        max_batch_size=args.max_batch,
-        max_wait_ns=args.max_wait_us * 1e3,
-        seed=args.seed,
-    )
-    print(f"system  : {args.system}  {args.qps:,.0f} qps {args.arrival}, "
-          f"{result.requests} requests in {result.batches} batches, "
-          f"p99 {result.latency.p99_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _cmd_trace_scenario(args: argparse.Namespace) -> int:
-    from repro.obs.recorder import TraceRecorder
-    from repro.scenarios import scenario
-
-    if args.smoke:
-        args.quick = True
-    entry = scenario(args.name)
-    recorder = TraceRecorder(label=f"scenario:{args.name}")
-    session_kwargs = dict(system=args.system, engine=args.engine, quick=args.quick,
-                          stream=args.stream)
-    sim = entry.simulation(**session_kwargs).observe(recorder)
-    run = sim.run()
-    print(f"scenario: {args.name}  [{entry.dimensions()}]")
-    print(f"run     : {run.params['system']}  {run.total_ns:,.0f} ns, "
-          f"{run.sim.lookups} lookups")
-    if not args.no_serve:
-        # The open-loop session lands on the same recorder, so the exported
-        # timeline shows serve batching next to the engine/packet spans.
-        serve_result = entry.serve(**session_kwargs, observe=recorder)
-        print(f"serve   : {serve_result.requests} requests in "
-              f"{serve_result.batches} batches, "
-              f"p99 {serve_result.latency.p99_ns:,.0f} ns")
-    return _write_trace_outputs(recorder, args)
-
-
-def _fleet_simulation(args: argparse.Namespace) -> Simulation:
-    """The fleet-shaped session shared by ``fleet run`` and ``fleet serve``."""
-    if args.smoke:
-        args.quick = True
-    sim = _base_simulation(args, args.system).model(args.model)
-    if getattr(args, "batch_size", None) is not None:
-        sim.batch_size(args.batch_size)
-    if getattr(args, "distribution", None) is not None:
-        sim.distribution(args.distribution)
-    sim.fleet(args.shards, router=args.router, seed=args.fleet_seed)
-    return sim
-
-
-def _print_fleet_breakdown(result) -> None:
-    from repro.analysis.report import format_table
-
-    rows = [
-        [row["shard"], row["requests"], row["lookups"], row["total_ns"]]
-        for row in result.shard_breakdown()
-    ]
-    print(format_table(["shard", "requests", "lookups", "total_ns"], rows))
-
-
-def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet
-
-    sim = _fleet_simulation(args)
-    result = run_fleet(sim.spec(), workers=args.workers)
-    if args.json:
-        print(result.to_json(indent=2))
-        return 0
-    print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
-          f"router {result.router}")
-    print(f"completion    : {result.total_ns:,.0f} ns (slowest shard)")
-    print(f"requests      : {result.requests} ({result.lookups} lookups)")
-    print(f"goodput       : {result.goodput_lookups_per_us:,.2f} lookups/us aggregate")
-    print()
-    _print_fleet_breakdown(result)
-    if args.smoke:
-        failures = []
-        if not result.total_ns > 0:
-            failures.append("non-positive fleet completion time")
-        if sum(sim_.requests for sim_ in result.per_shard) != result.requests:
-            failures.append("per-shard requests do not sum to the fleet total")
-        for failure in failures:
-            print(f"fleet smoke failure: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
-
-
-def _cmd_fleet_serve(args: argparse.Namespace) -> int:
-    from repro.fleet import serve_fleet
-
-    sim = _fleet_simulation(args)
-    config = sim._serve_config(
-        args.qps, args.arrival, args.max_batch, args.max_wait_us * 1e3,
-        args.seed, args.sla_ms * 1e6 if args.sla_ms is not None else None,
-    )
-    result = serve_fleet(sim.spec(), config, workers=args.workers)
-    if args.json:
-        print(result.to_json(indent=2))
-        return 0
-    latency = result.latency
-    print(f"fleet         : {result.num_shards} shard(s) of {result.system}, "
-          f"router {result.router}")
-    print(f"offered       : {result.qps:,.0f} qps {args.arrival}, "
-          f"achieved {result.achieved_qps:,.0f} qps over {result.requests} requests")
-    print(f"latency       : p50 {latency.p50_ns:,.0f} ns, p95 {latency.p95_ns:,.0f} ns, "
-          f"p99 {latency.p99_ns:,.0f} ns, p99.9 {latency.p999_ns:,.0f} ns")
-    print(f"goodput       : {result.goodput_qps:,.0f} qps"
-          + (f" ({result.sla_attainment:.1%} within SLA)" if result.sla_ns else ""))
-    if args.smoke:
-        failures = []
-        if not latency.is_finite():
-            failures.append("non-finite fleet latency percentile")
-        if result.requests <= 0:
-            failures.append("fleet served zero requests")
-        for failure in failures:
-            print(f"fleet smoke failure: {failure}", file=sys.stderr)
-        return 1 if failures else 0
-    return 0
 
 
 def _cmd_systems(args: argparse.Namespace) -> int:
@@ -877,11 +805,15 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one closed-loop simulation session",
         description="Replay one SLS workload on one registered system and print the "
-        "resulting latency, per-lookup cost and local/CXL row split.",
+        "resulting latency, per-lookup cost and local/CXL row split.  --shards N "
+        "replays it across N racks behind a request router and adds a per-shard "
+        "breakdown; --trace-out records the session for Perfetto.",
         epilog="examples:\n"
         "  python -m repro run pifs-rec --quick\n"
         "  python -m repro run pond --model RMC4 --batch-size 64 --engine vector\n"
-        "  python -m repro run recnmp --distribution zipfian --json",
+        "  python -m repro run recnmp --distribution zipfian --json\n"
+        "  python -m repro run pifs-rec --engine vector --quick --trace-out trace.json\n"
+        "  python -m repro run pifs-rec --shards 8 --router hash --stream --workers 4 --quick",
         formatter_class=raw,
     )
     run.add_argument("system", help="registered system name (list them with 'systems')")
@@ -894,9 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--distribution", default=None, metavar="NAME",
                      help="trace distribution: meta | zipfian | normal | uniform | random "
                      "(default: meta)")
-    _add_machine_arguments(run)
-    _add_scale_arguments(run)
-    run.add_argument("--json", action="store_true", help="print the RunResult as JSON")
+    _add_session_arguments(run)
+    _add_fleet_arguments(run)
+    _add_output_arguments(run)
+    run.add_argument("--json", action="store_true",
+                     help="print the RunResult (the FleetResult with --shards) as JSON")
     run.set_defaults(func=_cmd_run)
 
     sweep = subparsers.add_parser(
@@ -921,15 +855,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="trace-distribution axis value (repeatable)")
     sweep.add_argument("--num-batches", type=int, default=None, metavar="N",
                        help="batches replayed at every grid point")
-    _add_machine_arguments(sweep)
-    _add_scale_arguments(sweep)
-    sweep.add_argument("--serial", action="store_true",
-                       help="evaluate the grid in-process instead of the worker pool "
-                       "(results are identical either way)")
-    sweep.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker process count (default: one per grid point, capped "
-                       "at the CPU count)")
-    sweep.add_argument("--json", action="store_true", help="print the SweepResult as JSON")
+    _add_session_arguments(sweep)
+    _add_pool_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     serve = subparsers.add_parser(
@@ -938,15 +865,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve the workload open-loop: requests arrive on a seeded "
         "arrival process at --qps, queue per host, are dynamically batched and "
         "serviced on the host thread lanes.  Reports latency percentiles "
-        "(p50..p99.9), goodput, SLA attainment and queue depths per system.",
+        "(p50..p99.9), goodput, SLA attainment and queue depths per system.  "
+        "--shards N serves each system as N racks under one arrival schedule, "
+        "pooling the percentiles; --trace-out records one system for Perfetto.",
         epilog="examples:\n"
         "  python -m repro serve pifs-rec pond --qps 2e5 --sla-ms 5 --quick\n"
         "  python -m repro serve --all --smoke --qps 3e5 --sla-ms 1   # CI guard\n"
-        "  python -m repro serve pifs-rec --find-max-qps --sla-ms 2 --quick",
+        "  python -m repro serve pifs-rec --find-max-qps --sla-ms 2 --quick\n"
+        "  python -m repro serve pond --qps 2e5 --trace-out serve.json --metrics-out serve.csv\n"
+        "  python -m repro serve pifs-rec --shards 4 --qps 4e5 --sla-ms 5 --quick",
         formatter_class=raw,
     )
     serve.add_argument("system", nargs="*", default=[],
-                       help=f"systems to serve (default: {' '.join(DEFAULT_SERVE_SYSTEMS)})")
+                       help=f"systems to serve (default: {' '.join(DEFAULT_SYSTEMS)})")
     serve.add_argument("--all", action="store_true", help="serve every registered system")
     serve.add_argument("--smoke", action="store_true",
                        help="CI guard: quick scale, keep going past failures, exit 1 on any")
@@ -973,9 +904,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lower QPS bound of --find-max-qps (default: 1e4)")
     serve.add_argument("--qps-max", type=float, default=2e6, metavar="QPS",
                        help="upper QPS bound of --find-max-qps (default: 2e6)")
-    _add_machine_arguments(serve)
-    _add_scale_arguments(serve)
-    serve.add_argument("--json", action="store_true", help="print ServeResults as JSON")
+    _add_session_arguments(serve)
+    _add_fleet_arguments(serve)
+    _add_output_arguments(serve)
+    serve.add_argument("--json", action="store_true",
+                       help="print ServeResults (FleetServeResults with --shards) as JSON")
     serve.set_defaults(func=_cmd_serve)
 
     compare = subparsers.add_parser(
@@ -998,13 +931,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="queries per inference batch")
     compare.add_argument("--baseline", default="pond", metavar="NAME",
                          help="system speedups are computed against (default: pond)")
-    _add_machine_arguments(compare)
-    _add_scale_arguments(compare)
-    compare.add_argument("--serial", action="store_true",
-                         help="evaluate in-process instead of the worker pool")
-    compare.add_argument("--jobs", type=int, default=None, metavar="N",
-                         help="worker process count")
-    compare.add_argument("--json", action="store_true", help="print the SweepResult as JSON")
+    _add_session_arguments(compare)
+    _add_pool_arguments(compare)
     compare.set_defaults(func=_cmd_compare)
 
     figures = subparsers.add_parser(
@@ -1098,11 +1026,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one or more scenarios (closed-loop; --serve adds open-loop)",
         description="Execute named scenarios deterministically.  Results are "
         "bit-identical between --engine scalar and --engine vector; --smoke is "
-        "the CI guard (quick scale, keep going past failures, exit 1 on any).",
+        "the CI guard (quick scale, keep going past failures, exit 1 on any).  "
+        "--trace-out records one scenario, with --serve on the same timeline.",
         epilog="examples:\n"
         "  python -m repro scenario run fault-buffer-squeeze --quick\n"
         "  python -m repro scenario run tenant-mix --system pond --engine vector\n"
-        "  python -m repro scenario run --all --smoke",
+        "  python -m repro scenario run --all --smoke\n"
+        "  python -m repro scenario run hot-table-nmp-storm --serve --quick "
+        "--trace-out trace.json",
         formatter_class=raw,
     )
     scenario_run.add_argument("name", nargs="*", default=[],
@@ -1128,6 +1059,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="print scenario + result payloads as JSON")
     _add_scale_arguments(scenario_run)
     _add_stream_argument(scenario_run)
+    _add_output_arguments(scenario_run)
     scenario_run.set_defaults(func=_cmd_scenario_run)
 
     scenario_compare = scenario_commands.add_parser(
@@ -1152,219 +1084,14 @@ def build_parser() -> argparse.ArgumentParser:
     scenario_compare.add_argument("--system", action="append", default=None,
                                   metavar="NAME",
                                   help="system to include (repeatable; default: "
-                                  + " ".join(DEFAULT_COMPARE_SYSTEMS) + ")")
+                                  + " ".join(DEFAULT_SYSTEMS) + ")")
     scenario_compare.add_argument("--engine", choices=ENGINES,
                                   default=None,
                                   help="replay fidelity for every grid point")
-    scenario_compare.add_argument("--serial", action="store_true",
-                                  help="evaluate in-process instead of the worker pool")
-    scenario_compare.add_argument("--jobs", type=int, default=None, metavar="N",
-                                  help="worker process count")
-    scenario_compare.add_argument("--json", action="store_true",
-                                  help="print the SweepResult as JSON")
+    _add_pool_arguments(scenario_compare)
     _add_scale_arguments(scenario_compare)
     _add_stream_argument(scenario_compare)
     scenario_compare.set_defaults(func=_cmd_scenario_compare)
-
-    trace = subparsers.add_parser(
-        "trace",
-        help="run an observed session and export a Chrome/Perfetto trace",
-        description="Attach a TraceRecorder (repro.obs) to one session — "
-        "closed-loop, open-loop serving, or a named scenario — and export "
-        "the captured spans/counters as Chrome trace_event JSON (--out, "
-        "loadable in ui.perfetto.dev or chrome://tracing) plus flat metrics "
-        "(--metrics-out, .json or .csv).  Recording never perturbs results: "
-        "observed runs stay bit-identical to unobserved ones.",
-        epilog="examples:\n"
-        "  python -m repro trace run pifs-rec --engine vector --quick --out trace.json\n"
-        "  python -m repro trace serve pond --qps 2e5 --out serve.json "
-        "--metrics-out serve.csv\n"
-        "  python -m repro trace scenario hot-table-nmp-storm --out trace.json\n"
-        "  python -m repro trace run pond --smoke            # CI guard",
-        formatter_class=raw,
-    )
-    trace_commands = trace.add_subparsers(dest="trace_command", required=True)
-
-    def _add_trace_outputs(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("--out", default=None, metavar="PATH",
-                               help="write the Chrome/Perfetto trace_event JSON here")
-        subparser.add_argument("--metrics-out", default=None, metavar="PATH",
-                               help="write the flat metrics here (.csv for CSV, "
-                               "anything else for JSON)")
-        subparser.add_argument("--smoke", action="store_true",
-                               help="CI guard: quick scale; exit 1 if the emitted "
-                               "trace fails trace_event schema validation")
-
-    trace_run = trace_commands.add_parser(
-        "run",
-        help="observe one closed-loop session",
-        description="Run one closed-loop session with a TraceRecorder attached: "
-        "session/request/maintenance spans, kernel counters, packet-tier "
-        "bridging (with --engine packet) and wall-clock phase attribution.",
-        epilog="example:\n"
-        "  python -m repro trace run pifs-rec --engine vector --quick --out trace.json",
-        formatter_class=raw,
-    )
-    trace_run.add_argument("system", help="registered system name")
-    trace_run.add_argument("--model", default="RMC1", metavar="RMC",
-                           help="DLRM model: RMC1..RMC4 (default: RMC1)")
-    trace_run.add_argument("--batch-size", type=int, default=None, metavar="N",
-                           help="queries per inference batch")
-    trace_run.add_argument("--num-batches", type=int, default=None, metavar="N",
-                           help="number of batches replayed")
-    _add_machine_arguments(trace_run)
-    _add_scale_arguments(trace_run)
-    _add_trace_outputs(trace_run)
-    trace_run.set_defaults(func=_cmd_trace_run)
-
-    trace_serve = trace_commands.add_parser(
-        "serve",
-        help="observe one open-loop serving session",
-        description="Serve one system open-loop with a TraceRecorder attached: "
-        "admission/batch/wait spans per host lane, queue-depth counters, and "
-        "the engine's per-request spans on the same timeline.",
-        epilog="example:\n"
-        "  python -m repro trace serve pond --qps 2e5 --arrival bursty --out serve.json",
-        formatter_class=raw,
-    )
-    trace_serve.add_argument("system", help="registered system name")
-    trace_serve.add_argument("--model", default="RMC1", metavar="RMC",
-                             help="DLRM model: RMC1..RMC4 (default: RMC1)")
-    trace_serve.add_argument("--qps", type=float, default=2e5, metavar="QPS",
-                             help="offered load in requests/s (default: 2e5)")
-    trace_serve.add_argument("--arrival", default="poisson", metavar="NAME",
-                             help="arrival process: constant | poisson | bursty | "
-                             "mmpp | diurnal (default: poisson)")
-    trace_serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                             help="dynamic batcher max batch size (default: 8)")
-    trace_serve.add_argument("--max-wait-us", type=float, default=100.0, metavar="US",
-                             help="dynamic batcher max wait in microseconds (default: 100)")
-    trace_serve.add_argument("--seed", type=int, default=None, metavar="SEED",
-                             help="arrival-process seed (default: the scale's seed)")
-    trace_serve.add_argument("--num-batches", type=int, default=None, metavar="N",
-                             help="batches in the served workload")
-    _add_machine_arguments(trace_serve)
-    _add_scale_arguments(trace_serve)
-    _add_trace_outputs(trace_serve)
-    trace_serve.set_defaults(func=_cmd_trace_serve)
-
-    trace_scenario = trace_commands.add_parser(
-        "scenario",
-        help="observe a named scenario (closed-loop + its traffic spec)",
-        description="Run a catalog scenario closed-loop AND serve it open-loop "
-        "under its traffic spec, both on one shared TraceRecorder — the "
-        "exported timeline shows serve batching, engine/kernel spans and "
-        "packet-queue backpressure together.  --no-serve keeps it closed-loop "
-        "only.",
-        epilog="example:\n"
-        "  python -m repro trace scenario hot-table-nmp-storm --out trace.json",
-        formatter_class=raw,
-    )
-    trace_scenario.add_argument("name",
-                                help="scenario name (list them with 'scenario list')")
-    trace_scenario.add_argument("--system", default=None, metavar="NAME",
-                                help="override the scenario's system under test")
-    trace_scenario.add_argument("--engine", choices=ENGINES,
-                                default=None, help="replay fidelity override")
-    trace_scenario.add_argument("--no-serve", action="store_true",
-                                help="skip the open-loop serving pass")
-    _add_scale_arguments(trace_scenario)
-    _add_stream_argument(trace_scenario)
-    _add_trace_outputs(trace_scenario)
-    trace_scenario.set_defaults(func=_cmd_trace_scenario)
-
-    fleet = subparsers.add_parser(
-        "fleet",
-        help="simulate a sharded fleet of systems behind a request router",
-        description="Compose N per-rack systems (repro.fleet) — each with its "
-        "own fabric and its shard of the partitioned table space — behind a "
-        "request router (hash | power-of-two-choices | table-affinity) and "
-        "replay or serve one workload across them.  Shards execute on the "
-        "persistent worker pool with --workers; results are identical for "
-        "any worker count, and a 1-shard fleet is bit-identical to the "
-        "plain single-system run.",
-        epilog="examples:\n"
-        "  python -m repro fleet run --shards 8 --router table-affinity --quick\n"
-        "  python -m repro fleet run --shards 4 --router hash --stream --workers 4\n"
-        "  python -m repro fleet serve --shards 4 --qps 4e5 --sla-ms 5 --quick\n"
-        "  python -m repro fleet run --smoke                  # CI guard",
-        formatter_class=raw,
-    )
-    fleet_commands = fleet.add_subparsers(dest="fleet_command", required=True)
-
-    def _add_fleet_arguments(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument("system", nargs="?", default="pifs-rec",
-                               help="registered system per shard (default: pifs-rec)")
-        subparser.add_argument("--shards", type=int, default=4, metavar="N",
-                               help="per-rack systems in the fleet (default: 4)")
-        subparser.add_argument("--router", choices=ROUTER_POLICIES,
-                               default="table-affinity",
-                               help="request routing policy (default: table-affinity)")
-        subparser.add_argument("--fleet-seed", type=int, default=0, metavar="SEED",
-                               help="router hashing/tie-break seed (default: 0)")
-        subparser.add_argument("--workers", type=int, default=0, metavar="N",
-                               help="worker processes executing shards (default: 0 = "
-                               "in-process serial; results are identical either way)")
-        subparser.add_argument("--model", default="RMC1", metavar="RMC",
-                               help="DLRM model: RMC1..RMC4 (default: RMC1)")
-        subparser.add_argument("--num-batches", type=int, default=None, metavar="N",
-                               help="batches in the shared workload")
-        subparser.add_argument("--smoke", action="store_true",
-                               help="CI guard: quick scale plus fleet sanity checks, "
-                               "exit 1 on any failure")
-        _add_machine_arguments(subparser)
-        _add_scale_arguments(subparser)
-        subparser.add_argument("--json", action="store_true",
-                               help="print the fleet result as JSON")
-
-    fleet_run = fleet_commands.add_parser(
-        "run",
-        help="replay one workload closed-loop across the fleet",
-        description="Partition the workload across the shards with the selected "
-        "router and replay every shard; prints the combined fleet result "
-        "(completion = slowest shard, counters summed) and the per-shard "
-        "breakdown.",
-        epilog="examples:\n"
-        "  python -m repro fleet run --shards 8 --quick\n"
-        "  python -m repro fleet run --shards 4 --router hash --stream --workers 4",
-        formatter_class=raw,
-    )
-    _add_fleet_arguments(fleet_run)
-    fleet_run.add_argument("--batch-size", type=int, default=None, metavar="N",
-                           help="queries per inference batch")
-    fleet_run.add_argument("--distribution", default=None, metavar="NAME",
-                           help="trace distribution: meta | zipfian | normal | "
-                           "uniform | random (default: meta)")
-    fleet_run.set_defaults(func=_cmd_fleet_run)
-
-    fleet_serve = fleet_commands.add_parser(
-        "serve",
-        help="serve one workload open-loop across the fleet",
-        description="Serve every shard open-loop under one arrival schedule at "
-        "the offered QPS (each rack sees the arrivals of its router-assigned "
-        "requests, so together they are offered the QPS) and report "
-        "fleet-level tail latency over the pooled per-request samples: "
-        "p50..p99.9, achieved QPS, goodput and SLA attainment.",
-        epilog="examples:\n"
-        "  python -m repro fleet serve --shards 4 --qps 4e5 --sla-ms 5 --quick\n"
-        "  python -m repro fleet serve --router power-of-two-choices --smoke",
-        formatter_class=raw,
-    )
-    _add_fleet_arguments(fleet_serve)
-    fleet_serve.add_argument("--qps", type=float, default=2e5, metavar="QPS",
-                             help="offered load in requests/s (default: 2e5)")
-    fleet_serve.add_argument("--arrival", default="poisson", metavar="NAME",
-                             help="arrival process: constant | poisson | bursty | "
-                             "mmpp | diurnal (default: poisson)")
-    fleet_serve.add_argument("--sla-ms", type=float, default=None, metavar="MS",
-                             help="latency SLA in milliseconds (enables SLA attainment)")
-    fleet_serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                             help="dynamic batcher max batch size (default: 8)")
-    fleet_serve.add_argument("--max-wait-us", type=float, default=100.0, metavar="US",
-                             help="dynamic batcher max wait in microseconds (default: 100)")
-    fleet_serve.add_argument("--seed", type=int, default=None, metavar="SEED",
-                             help="arrival-process seed (default: the scale's seed)")
-    fleet_serve.set_defaults(func=_cmd_fleet_serve)
 
     systems = subparsers.add_parser(
         "systems",

@@ -1170,6 +1170,8 @@ class Simulation:
         """
         from repro.serve.metrics import sla_sweep as _sla_sweep
 
+        if processes is not None and processes < 1:
+            raise ValueError(f"processes must be >= 1, got {processes!r}")
         config = self._serve_config(
             qps_bounds[0], arrival, max_batch_size, max_wait_ns, seed, sla_ns
         )
@@ -1188,8 +1190,9 @@ class Simulation:
         # workload caches carry over between sweeps.
         from repro.api.sweep import worker_pool
 
-        workers = min(grid_points, os.cpu_count() or 1) if processes is None else processes
-        pool = worker_pool().get(max(1, workers))
+        if processes is None:
+            processes = max(1, min(grid_points, os.cpu_count() or 1))
+        pool = worker_pool().get(processes)
         return _sla_sweep(
             evaluator,
             sla_ns,

@@ -272,6 +272,8 @@ class Sweep:
         ``worker-<pid>`` attribution.  Recording never changes the
         results.
         """
+        if processes is not None and processes < 1:
+            raise ValueError(f"processes must be >= 1, got {processes!r}")
         sims, specs, keys = self._compile()
         if recorder is None:
             recorder = getattr(self._base, "_recorder", None)

@@ -17,7 +17,7 @@ p50..p99.9, per-shard breakdowns).  The moving parts:
   round trips.
 
 Entry points: ``Simulation.fleet(shards, router=...)`` for sessions and
-sweeps, ``python -m repro fleet run|serve`` on the CLI, or
+sweeps, ``python -m repro run|serve --shards N`` on the CLI, or
 :func:`run_fleet` / :func:`serve_fleet` directly when per-shard
 breakdowns and pooled shard execution are wanted.
 """

@@ -156,13 +156,15 @@ class Fleet:
         Both paths hand every shard identical inputs and collect payloads
         in shard order, so their results match byte for byte.
         """
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers!r}")
         key, shared = self._shared_workload()
         args = [
             (self.base_spec, self.router, shard, self.num_shards, config, key, shared,
              recorder is not None)
             for shard in range(self.num_shards)
         ]
-        if workers and workers > 0:
+        if workers:
             from repro.api.sweep import worker_pool
 
             pool = worker_pool().get(min(int(workers), self.num_shards))

@@ -191,6 +191,11 @@ class FleetServeResult:
     #: request records before pickling; fleet results never carry any.
     records: Optional[Any] = None
 
+    @property
+    def max_queue_depth(self) -> int:
+        """The deepest admission queue of any shard."""
+        return max((shard.max_queue_depth for shard in self.per_shard), default=0)
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "system": self.system,

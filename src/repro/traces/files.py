@@ -191,14 +191,19 @@ def load_trace_file(
     return load_criteo_tsv(path, batch_size=batch_size, hex_indices=hex_indices)
 
 
-def save_workload_trace(workload: SLSWorkload, path: PathLike) -> pathlib.Path:
+def save_workload_trace(
+    workload: Union[SLSWorkload, StreamingWorkload], path: PathLike
+) -> pathlib.Path:
     """Export the trace behind ``workload`` as a lossless ``.npz`` archive.
 
     Requires the workload to carry its source batches (every workload built
-    through :func:`~repro.traces.workload.workload_from_batches` does);
-    re-loading with :func:`workload_from_trace` under the same model and
-    host assignment rebuilds a bit-identical request stream.
+    through :func:`~repro.traces.workload.workload_from_batches` does, and a
+    streamed workload reads them from its stream: the archive holds every
+    batch either way); re-loading with :func:`workload_from_trace` under the
+    same model and host assignment rebuilds a bit-identical request stream.
     """
+    if workload.streaming:
+        return save_trace(workload.stream.materialize(), path)
     if workload.trace is None:
         raise ValueError(
             "workload carries no trace batches to export (it was assembled "

@@ -1,5 +1,6 @@
 """Tests for the ``repro.api`` façade: registry, sessions, sweeps, results."""
 
+import csv
 import json
 
 import pytest
@@ -409,6 +410,12 @@ class TestSweep:
         coords = [(r.params["system"], r.params["batch_size"]) for r in result]
         assert coords == [("pond", 2), ("pond", 4), ("pifs-rec", 2), ("pifs-rec", 4)]
 
+    @pytest.mark.parametrize("processes", [0, -2])
+    def test_non_positive_process_count_is_rejected(self, processes):
+        sweep = Sweep(over={"batch_size": [2, 4]}, base=Simulation(scale=TINY_SCALE))
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            sweep.run(parallel=True, processes=processes)
+
     def test_serial_and_parallel_identical(self):
         sweep = Sweep(
             over={"system": ["pond", "pifs-rec"], "batch_size": [2, 4]},
@@ -537,6 +544,76 @@ class TestCLI:
         assert main(["run", "pond", "--quick", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert RunResult.from_dict(payload).system == "pond"
+
+    def test_run_records_trace_and_metrics_without_changing_the_result(self, tmp_path, capsys):
+        from repro.api.cli import main
+        from repro.obs.recorder import validate_chrome_trace
+
+        assert main(["run", "pond", "--quick", "--json"]) == 0
+        plain = RunResult.from_dict(json.loads(capsys.readouterr().out))
+        trace, metrics = tmp_path / "trace.json", tmp_path / "metrics.csv"
+        assert main([
+            "run", "pond", "--quick", "--json",
+            "--trace-out", str(trace), "--metrics-out", str(metrics),
+        ]) == 0
+        # The trace report goes to stderr: stdout stays one JSON document.
+        observed = RunResult.from_dict(json.loads(capsys.readouterr().out))
+        assert observed.sim.to_dict() == plain.sim.to_dict()
+        assert validate_chrome_trace(json.loads(trace.read_text())) == []
+        with open(metrics, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["metric", "value"] and len(rows) > 1
+
+    def test_run_shards_prints_a_fleet_result(self, capsys):
+        from repro.api.cli import main
+        from repro.fleet import FleetResult
+
+        outputs = []
+        for workers in ("0", "2"):
+            assert main([
+                "run", "pifs-rec", "--quick", "--shards", "2", "--json", "--workers", workers,
+            ]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        fleet = FleetResult.from_json(outputs[0])
+        assert fleet.num_shards == 2
+        assert sum(shard.requests for shard in fleet.per_shard) == fleet.requests > 0
+
+    def test_run_shards_exits_1_when_the_shards_lose_a_request(self, monkeypatch, capsys):
+        from repro.api import cli
+        from repro.fleet import run_fleet
+
+        def lossy_run_fleet(*args, **kwargs):
+            result = run_fleet(*args, **kwargs)
+            result.per_shard[0].requests -= 1
+            return result
+
+        monkeypatch.setattr(cli, "run_fleet", lossy_run_fleet)
+        assert cli.main(["run", "pifs-rec", "--quick", "--shards", "2"]) == 1
+        assert "do not sum to the trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--router=hash", "--fleet-seed=3", "--workers=2"])
+    def test_fleet_options_need_shards(self, option, capsys):
+        from repro.api.cli import main
+
+        assert main(["run", "pond", "--quick", option]) == 2
+        assert option.split("=")[0] in capsys.readouterr().err
+
+    def test_negative_worker_counts_exit_2(self, capsys):
+        from repro.api.cli import main
+
+        assert main(["run", "pifs-rec", "--quick", "--shards", "2", "--workers", "-3"]) == 2
+        assert "workers must be >= 0" in capsys.readouterr().err
+        assert main(["sweep", "--quick", "--jobs", "-2"]) == 2
+        assert "processes must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["trace", "run", "pond"], ["fleet", "run"]])
+    def test_trace_and_fleet_families_are_gone(self, argv, capsys):
+        from repro.api.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestSweepEngineCacheKey:

@@ -6,6 +6,7 @@ API.md entry naming a symbol that no longer exists (or lost its docstring)
 fails here rather than silently rotting.
 """
 
+import argparse
 import importlib
 import pathlib
 import re
@@ -24,7 +25,7 @@ _API_SYMBOL = re.compile(r"^#{2,4} +`(repro(?:\.[A-Za-z0-9_]+)+)`", re.MULTILINE
 
 SUBCOMMANDS = (
     "run", "sweep", "serve", "compare", "figures", "bench", "scenario",
-    "systems", "trace", "fleet",
+    "systems",
 )
 
 #: The documents the docs tree promises (README links them all).
@@ -116,13 +117,11 @@ class TestCLIHelp:
         return build_parser()
 
     def test_every_subcommand_registered(self, parser):
-        actions = {
-            name
-            for action in parser._actions
-            if hasattr(action, "choices") and action.choices
-            for name in action.choices
-        }
-        assert set(SUBCOMMANDS) <= actions
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands.choices) == set(SUBCOMMANDS)
 
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_help_renders_and_describes(self, command, capsys):
@@ -144,7 +143,7 @@ class TestCLIHelp:
         assert "--engine" in out
         assert "vector" in out
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "serve", "compare", "scenario", "trace"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "serve", "compare", "scenario"])
     def test_examples_present(self, command, capsys):
         parser = build_parser()
         with pytest.raises(SystemExit):
@@ -161,15 +160,21 @@ class TestCLIHelp:
         out = capsys.readouterr().out
         assert len(out.splitlines()) > 5, f"'scenario {subcommand} --help' is too terse"
 
-    @pytest.mark.parametrize("subcommand", ["run", "serve", "scenario"])
-    def test_trace_subcommands(self, subcommand, capsys):
+    @pytest.mark.parametrize(
+        "command", [["run"], ["serve"], ["scenario", "run"]], ids=["run", "serve", "scenario"]
+    )
+    def test_trace_subcommands(self, command, capsys):
+        """The verbs that record a session list the export flags (and run/serve shard)."""
         parser = build_parser()
         with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["trace", subcommand, "--help"])
+            parser.parse_args([*command, "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        assert "--out" in out, f"'trace {subcommand} --help' lost its export flag"
-        assert len(out.splitlines()) > 5, f"'trace {subcommand} --help' is too terse"
+        name = " ".join(command)
+        for flag in ("--trace-out", "--metrics-out"):
+            assert flag in out, f"'{name} --help' lost {flag}"
+        if command != ["scenario", "run"]:
+            assert "--shards" in out, f"'{name} --help' lost --shards"
 
     def test_log_level_documented(self, capsys):
         parser = build_parser()

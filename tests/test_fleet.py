@@ -495,6 +495,14 @@ def test_fleet_baseline_scenario():
     assert sim.spec().fleet_shards == 0
 
 
+def test_negative_worker_count_is_rejected():
+    fleet = Fleet(_quick().fleet(2).spec())
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        fleet.run(workers=-3)
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        fleet.serve(ServeConfig(qps=2e5), workers=-3)
+
+
 def test_fleet_result_json_round_trip():
     fleet = run_fleet(_quick().fleet(2, router="hash").spec())
     clone = FleetResult.from_json(fleet.to_json())

@@ -524,16 +524,36 @@ class TestScenarioCLI:
         out = capsys.readouterr().out
         assert "speedup_vs_pond" in out
 
-    def test_export_trace(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [[], ["--stream"]], ids=["eager", "stream"])
+    def test_export_trace(self, flags, tmp_path, capsys):
         target = tmp_path / "exported.npz"
         assert cli_main([
             "scenario", "run", "paper-baseline", "--quick",
-            "--export-trace", str(target),
+            "--export-trace", str(target), *flags,
         ]) == 0
         assert target.is_file()
-        from repro.traces.files import load_trace
+        from repro.traces.files import load_trace, save_workload_trace
 
         assert load_trace(target)
+        eager = scenario("paper-baseline").simulation(quick=True).build_workload()
+        reference = save_workload_trace(eager, tmp_path / "eager.npz")
+        with np.load(target) as exported, np.load(reference) as expected:
+            assert sorted(exported.files) == sorted(expected.files)
+            for name in expected.files:
+                np.testing.assert_array_equal(exported[name], expected[name])
+
+    def test_serve_trace_holds_serve_and_engine_spans(self, tmp_path, capsys):
+        from repro.obs.recorder import validate_chrome_trace
+
+        target = tmp_path / "trace.json"
+        assert cli_main([
+            "scenario", "run", "hot-table-nmp-storm", "--serve", "--quick",
+            "--trace-out", str(target),
+        ]) == 0
+        trace = json.loads(target.read_text())
+        assert validate_chrome_trace(trace) == []
+        spans = {(event.get("cat"), event["name"]) for event in trace["traceEvents"]}
+        assert ("serve", "batch") in spans and ("sim", "request") in spans
 
     def test_export_trace_single_scenario_only(self, capsys):
         assert cli_main([

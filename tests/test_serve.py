@@ -369,6 +369,11 @@ class TestSLASweep:
         result = sweep_session().sla_sweep(1.0, **SWEEP_KWARGS)  # 1 ns budget
         assert result.max_sustainable_qps == 0.0
 
+    @pytest.mark.parametrize("processes", [0, -1])
+    def test_non_positive_process_count_is_rejected(self, processes):
+        with pytest.raises(ValueError, match="processes must be >= 1"):
+            sweep_session().sla_sweep(6e4, parallel=True, processes=processes, **SWEEP_KWARGS)
+
     def test_bad_bounds_are_rejected(self):
         with pytest.raises(ValueError):
             sla_sweep(lambda qps: None, 1e5, (1e5, 1e4))
@@ -419,11 +424,55 @@ class TestServeCLI:
         assert "pond" in payload["sla_sweeps"]
         assert math.isfinite(payload["sla_sweeps"]["pond"]["max_sustainable_qps"])
 
-    def test_find_max_qps_without_sla_is_an_error(self, capsys):
+    def test_find_max_qps_without_sla_is_an_error(self, capsys, monkeypatch):
         from repro.api.cli import main
 
+        monkeypatch.setattr(Simulation, "serve", _never_served)
         assert main(["serve", "pond", "--quick", "--find-max-qps"]) == 2
         assert "--sla-ms" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--router", "hash"],
+        ["--fleet-seed", "3"],
+        ["--workers", "2"],
+        ["beacon", "--trace-out", "trace.json"],
+    ], ids=["router", "fleet-seed", "workers", "export-two-systems"])
+    def test_flags_are_checked_before_the_first_session(self, flags, capsys, monkeypatch):
+        from repro.api.cli import main
+
+        monkeypatch.setattr(Simulation, "serve", _never_served)
+        assert main(["serve", "pond", *flags, "--quick"]) == 2
+        assert flags[-2] in capsys.readouterr().err
+
+    def test_shards_serve_a_fleet(self, capsys):
+        from repro.api.cli import main
+        from repro.fleet import FleetServeResult
+
+        assert main([
+            "serve", "pifs-rec", "--quick", "--shards", "2",
+            "--qps", "3e5", "--sla-ms", "5", "--json",
+        ]) == 0
+        result = FleetServeResult.from_dict(json.loads(capsys.readouterr().out)["results"][0])
+        assert result.num_shards == 2
+        assert result.requests > 0 and result.latency.is_finite()
+        assert result.max_queue_depth == max(shard.max_queue_depth for shard in result.per_shard)
+
+    def test_shards_exit_1_when_the_fleet_serves_nothing(self, monkeypatch, capsys):
+        from repro.api import cli
+        from repro.fleet import serve_fleet
+
+        def empty_serve_fleet(*args, **kwargs):
+            result = serve_fleet(*args, **kwargs)
+            result.requests = 0
+            return result
+
+        monkeypatch.setattr(cli, "serve_fleet", empty_serve_fleet)
+        assert cli.main(["serve", "pifs-rec", "--quick", "--shards", "2", "--qps", "3e5"]) == 1
+        assert "served zero requests" in capsys.readouterr().err
+
+
+def _never_served(*args, **kwargs):
+    pytest.fail("serve ran a session before checking its flags")
 
 
 # ---------------------------------------------------------------------------
