@@ -739,11 +739,13 @@ def _write_trace_outputs(recorder, args: argparse.Namespace) -> int:
     from repro.obs.recorder import validate_chrome_trace
 
     out = sys.stderr if args.json else sys.stdout
-    problems = validate_chrome_trace(recorder.to_chrome_trace())
+    trace = recorder.to_chrome_trace()
+    problems = validate_chrome_trace(trace)
     suffix = f" ({recorder.dropped} dropped)" if recorder.dropped else ""
     if args.trace_out:
-        path = recorder.write_chrome_trace(args.trace_out)
-        print(f"trace   : {len(recorder)} events{suffix} -> {path} "
+        with open(args.trace_out, "w") as handle:
+            json.dump(trace, handle)
+        print(f"trace   : {len(recorder)} events{suffix} -> {args.trace_out} "
               "(load in https://ui.perfetto.dev or chrome://tracing)", file=out)
     else:
         print(f"trace   : {len(recorder)} events{suffix} (pass --trace-out to export)",

@@ -192,12 +192,8 @@ class RecNMPSystem(SLSSystem):
         # Every row is recorded: one C-level bulk append for the bag.
         ctx.pending_pages.extend(ctx.page[begin:end])
         cache = self._rank_cache_kernel
-        # The RankCache is LRU: the profiler feed is bulk-recorded once per
-        # bag (every row is probed exactly once) and the per-row probe skips
-        # it — bit-identical buffer and profiler state, ~half the dict work.
-        probe = cache.probe
+        lookup = cache.lookup
         insert = cache.insert
-        cache.record(addr[begin:end])
         hit_ns = self._rank_cache.hit_latency_ns()
         accumulate_ns = self.NMP_ACCUMULATE_NS
         hits = 0
@@ -219,10 +215,10 @@ class RecNMPSystem(SLSSystem):
             issue = start_ns + self.NMP_COMMAND_NS
             last_row = issue
             # Hits all finish at the same issue-anchored time — fold their
-            # timing in once; per hit row only the cache probe runs.
+            # timing in once; per hit row only the cache lookup runs.
             any_hit = False
             for k in local_ks:
-                if probe(addr[k]):
+                if lookup(addr[k]):
                     any_hit = True
                 else:
                     misses += 1
@@ -267,12 +263,12 @@ class RecNMPSystem(SLSSystem):
                 last_row = start_ns
                 # Cache hits finish in command order (the device-link chain
                 # is non-decreasing): the last hit stands in for all of
-                # them, so per hit row only the probe runs.
+                # them, so per hit row only the lookup runs.
                 last_hit = -1
                 bucket_misses = 0
                 for i in range(count):
                     k = ks[i]
-                    if probe(addr[k]):
+                    if lookup(addr[k]):
                         last_hit = i
                     else:
                         bucket_misses += 1

@@ -110,11 +110,6 @@ class MemoryNode:
         self.busy_until_ns = busy
         return np.asarray(finishes, dtype=np.float64)
 
-    def reset_counters(self) -> None:
-        self.access_count = 0
-        self.bytes_served = 0
-        self.busy_until_ns = 0.0
-
 
 def placement_arrays(
     nodes: Sequence[MemoryNode], device_of=None

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.config import CACHE_LINE_BYTES, MIGRATION_MODES, PAGE_SIZE_BYTES
-from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
 
 
@@ -45,8 +44,10 @@ class TieredMemorySystem:
     the migration engine that models the cost of page-block vs
     cache-line-block migration (§IV-B4).  The page table is two numpy
     columns indexed by page id: the node holding each page (``-1`` for an
-    unplaced id) and its access count since the last reset or decay, the
-    two facts the page-management policies read (§IV-B2, §IV-B3).
+    unplaced id) and its access count since the last decay, the two facts
+    the page-management policies read (§IV-B2, §IV-B3).  The count column
+    is the only page hotness: the policies rank pages through
+    :meth:`ranked_pages`.
     """
 
     #: Cost to move one cache line between nodes (ns): the copy is pipelined
@@ -80,9 +81,6 @@ class TieredMemorySystem:
         self._in_tier = {tier: np.zeros(size, dtype=bool) for tier in MemoryTier}
         for node in nodes:
             self._in_tier[node.tier][node.node_id] = True
-        self._node_access: Dict[int, AccessTracker] = {
-            node_id: AccessTracker() for node_id in self._nodes
-        }
         self._migration_stats = MigrationStats()
         # Placement generation: bumped whenever any page changes node, so
         # batched resolvers can cache gathers from the node column and
@@ -159,34 +157,27 @@ class TieredMemorySystem:
         page_id = address // PAGE_SIZE_BYTES
         node_id = self._node_id(page_id)
         self._count[page_id] += 1
-        self._node_access[node_id].record(page_id)
         self._nodes[node_id].access_count += 1
 
-    def record_pages(self, page_ids: List[int]) -> None:
+    def record_pages(self, page_ids: Sequence[int]) -> None:
         """Record one access per entry of ``page_ids`` (the batched path).
 
-        Equivalent to calling :meth:`record_access` once per page in order:
-        counts and node counters match, and every node tracker receives its
-        pages in first-seen order, which breaks ties in
-        :meth:`AccessTracker.hottest`.  The pages must be placed under the
-        *current* placement — the vectorized engine flushes before every
-        maintenance pass, so no migration falls between record and flush.
+        Equivalent to calling :meth:`record_access` once per page: one
+        bincount of the pages is added to the count column and one of
+        their owning nodes to the node counters.  The pages must be placed
+        under the *current* placement — the vectorized engine flushes
+        before every maintenance pass, so no migration falls between
+        record and flush.
         """
-        counts = Counter(page_ids)
-        pages = np.fromiter(counts, dtype=np.int64, count=len(counts))
-        self._count[pages] += np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        per_node: Dict[int, Dict[int, int]] = {}
-        for (page_id, count), node_id in zip(counts.items(), self._node[pages].tolist()):
-            per_node.setdefault(node_id, {})[page_id] = count
-        for node_id, node_counts in per_node.items():
-            self._node_access[node_id].record_counts(node_counts)
-            self._nodes[node_id].access_count += sum(node_counts.values())
-
-    def node_access_tracker(self, node_id: int) -> AccessTracker:
-        return self._node_access[node_id]
+        pages = np.asarray(page_ids, dtype=np.int64)
+        counts = np.bincount(pages)
+        self._count[: counts.size] += counts
+        for node_id, count in enumerate(np.bincount(self._node[pages]).tolist()):
+            if count:
+                self._nodes[node_id].access_count += count
 
     def node_access_counts(self) -> Dict[int, int]:
-        """Access counts per node since the last counter reset."""
+        """Accesses recorded per node; these counts never decay."""
         return {node_id: node.access_count for node_id, node in self._nodes.items()}
 
     # ------------------------------------------------------------------
@@ -214,6 +205,27 @@ class TieredMemorySystem:
     def pages_in(self, tier: MemoryTier) -> np.ndarray:
         """Ids of the pages held by ``tier``'s nodes, ascending."""
         return np.flatnonzero(self._in_tier[tier][self._node])
+
+    def pages_on(self, node_id: int) -> np.ndarray:
+        """Ids of the pages held by node ``node_id``, ascending."""
+        return np.flatnonzero(self._node == node_id)
+
+    def ranked_pages(self, page_ids: np.ndarray, k: int, hottest: bool) -> List[Tuple[int, int]]:
+        """The first ``k`` of ``page_ids`` (ascending) as (page id, count).
+
+        Pages rank by access count, hottest or coldest first, and equal
+        counts rank in page-id order.  The rank key ``±count * span +
+        page_id`` is unique, so the partial selection keeps that order;
+        int64 holds it while ``count * span`` stays below 2**63.
+        """
+        if k == 0 or page_ids.size == 0:
+            return []
+        page_counts = self._count[page_ids]
+        span = int(page_ids[-1]) + 1
+        key = (-page_counts if hottest else page_counts) * span + page_ids
+        top = np.argpartition(key, min(k, key.size) - 1)[:k]
+        top = top[np.argsort(key[top])]
+        return list(zip(page_ids[top].tolist(), page_counts[top].tolist()))
 
     # ------------------------------------------------------------------
     # Migration
@@ -291,20 +303,11 @@ class TieredMemorySystem:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def reset_access_counters(self) -> None:
-        for node in self._nodes.values():
-            node.reset_counters()
-        for tracker in self._node_access.values():
-            tracker.reset()
-        self._count.fill(0)
-
     def decay_hotness(self, factor: float = 0.5) -> None:
-        """Scale every page and tracker count by ``factor``, truncating."""
+        """Scale every page count by ``factor``, truncating."""
         if not 0.0 <= factor <= 1.0:
             raise ValueError("decay factor must be in [0, 1]")
         self._count = (self._count * factor).astype(np.int64)
-        for tracker in self._node_access.values():
-            tracker.decay(factor)
 
 
 __all__ = ["TieredMemorySystem", "MigrationRecord", "MigrationStats"]

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.memsys.node import MemoryTier
 from repro.memsys.tiered import TieredMemorySystem
 from repro.pagemgmt.regions import HostRegions
@@ -57,11 +55,10 @@ class GlobalHotnessPolicy:
         Local pages come coldest first and CXL pages hottest first; equal
         counts rank in page-id order.
         """
-        counts = tiered.access_count_table()
         k = self.max_swaps_per_epoch
         return (
-            _first_ranked(tiered.pages_in(MemoryTier.LOCAL_DRAM), counts, k, hottest=False),
-            _first_ranked(tiered.pages_in(MemoryTier.CXL), counts, k, hottest=True),
+            tiered.ranked_pages(tiered.pages_in(MemoryTier.LOCAL_DRAM), k, hottest=False),
+            tiered.ranked_pages(tiered.pages_in(MemoryTier.CXL), k, hottest=True),
         )
 
     def run_epoch(self, tiered: TieredMemorySystem, row_bytes: int = 64) -> SwapOutcome:
@@ -89,25 +86,6 @@ class GlobalHotnessPolicy:
             promotions += 1
             demotions += 1
         return SwapOutcome(promotions=promotions, demotions=demotions, cost_ns=cost)
-
-
-def _first_ranked(
-    page_ids: np.ndarray, counts: np.ndarray, k: int, hottest: bool
-) -> List[Tuple[int, int]]:
-    """The first ``k`` of ``page_ids`` (ascending) ranked by access count.
-
-    The rank key ``±count * span + page_id`` is unique, so the partial
-    selection keeps page-id order among equal counts; int64 holds it
-    while ``count * span`` stays below 2**63.
-    """
-    if k == 0 or page_ids.size == 0:
-        return []
-    page_counts = counts[page_ids]
-    span = int(page_ids[-1]) + 1
-    key = (-page_counts if hottest else page_counts) * span + page_ids
-    top = np.argpartition(key, min(k, key.size) - 1)[:k]
-    top = top[np.argsort(key[top])]
-    return list(zip(page_ids[top].tolist(), page_counts[top].tolist()))
 
 
 __all__ = ["GlobalHotnessPolicy", "SwapOutcome"]

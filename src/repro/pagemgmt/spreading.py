@@ -85,19 +85,18 @@ class SpreadingPolicy:
                 destination = self._coldest_node(tiered, exclude=warm_id)
                 if destination is None:
                     break
-                tracker = tiered.node_access_tracker(warm_id)
-                hottest = tracker.hottest(4)
+                # The warm node's most-accessed pages, as it holds them now.
+                hottest = tiered.ranked_pages(tiered.pages_on(warm_id), 4, hottest=True)
                 moved_any = False
                 for page_id, page_count in hottest:
                     if migrations >= self.max_migrations_per_epoch:
                         break
-                    if tiered.node_of_page(page_id).node_id != warm_id:
-                        continue
                     if not destination.can_fit(PAGE_SIZE_BYTES):
                         # Destination full: swap with the destination's
                         # coldest page instead of a one-way migration.
-                        dest_tracker = tiered.node_access_tracker(destination.node_id)
-                        coldest = dest_tracker.coldest(1)
+                        coldest = tiered.ranked_pages(
+                            tiered.pages_on(destination.node_id), 1, hottest=False
+                        )
                         if not coldest:
                             break
                         records = tiered.swap_pages(page_id, coldest[0][0], row_bytes=row_bytes)

@@ -12,8 +12,9 @@ The package implements the hardware and software architecture of §IV:
   Instruction Ingress Registry, Accumulate Configuration Register with
   capacity back-pressure, and the accumulate logic (§IV-A2/A3).
 * :mod:`repro.pifs.fm_endpoint` — the FM Endpoint Extension: memory
-  indexing, the address profiler feeding HTR, and the migration controller
-  used for cache-line granular migration (§IV-A1, §IV-B4).
+  indexing, per-device I/O access counters, and the migration controller
+  used for cache-line granular migration (§IV-A1, §IV-B4).  HTR counts its
+  rows in the on-switch buffer itself.
 * :mod:`repro.pifs.switch` — the PIFS fabric switch combining all of the
   above on top of the base CXL switch.
 * :mod:`repro.pifs.forwarding` — multi-layer instruction forwarding across

@@ -1,4 +1,4 @@
-"""FM Endpoint Extension: memory indexing, address profiler, migration controller."""
+"""FM Endpoint Extension: memory indexing, I/O access counters, migration controller."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.config import CACHE_LINE_BYTES
-from repro.memsys.hotness import AccessTracker
 
 
 @dataclass(frozen=True)
@@ -98,20 +97,17 @@ class FMEndpointExtension:
 
     def __init__(self, page_size: int = 4096) -> None:
         self.indexing = MemoryIndexingUnit(page_size=page_size)
-        self.address_profiler = AccessTracker()
         self.migration_controller = MigrationController()
         self.io_access_counters: Dict[int, int] = {}
 
-    def record_device_access(self, device_id: int, address: int) -> None:
-        """Record an I/O access for profiling and device balancing."""
-        self.address_profiler.record(address)
+    def record_device_access(self, device_id: int) -> None:
+        """Count one I/O access to ``device_id`` for device balancing."""
         self.io_access_counters[device_id] = self.io_access_counters.get(device_id, 0) + 1
 
     def device_access_counts(self) -> Dict[int, int]:
         return dict(self.io_access_counters)
 
     def reset_counters(self) -> None:
-        self.address_profiler.reset()
         self.io_access_counters.clear()
 
 

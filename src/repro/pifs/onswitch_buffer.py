@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from itertools import islice
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.config import BufferConfig
-from repro.memsys.hotness import AccessTracker
 
 
 class OnSwitchBuffer:
@@ -18,19 +17,20 @@ class OnSwitchBuffer:
     The buffer stores whole embedding rows keyed by their (row-aligned) byte
     address.  Three replacement strategies are supported:
 
-    * ``htr`` — Hottest Recording: an address profiler ranks rows by access
-      frequency; the buffer is periodically re-curated to hold the hottest
-      rows, and on insertion the coldest resident row is evicted only if the
-      incoming row is hotter.
+    * ``htr`` — Hottest Recording: the buffer counts the lookups of every
+      row in its own ``Counter``; it is periodically re-curated to hold the
+      most-counted rows, and on insertion the coldest resident row is
+      evicted only if the incoming row is at least as hot.
     * ``lru`` — classic least-recently-used.
     * ``fifo`` — first-in-first-out.
     * ``none`` — the buffer is disabled (every lookup misses).
 
-    HTR curation ranks rows by profiled count, equal counts in first-seen
-    order (the order :meth:`AccessTracker.hottest` keeps).  Between
-    profiler resets counts only grow, and only through :meth:`lookup`, so
-    each curation re-keys just the rows probed since the previous one and
-    merges them into that curation's survivors (see :meth:`_rank_hottest`).
+    Only HTR counts rows; the other policies never read a count.  HTR
+    curation ranks rows by count, equal counts in first-seen order (the
+    order ``Counter.most_common`` keeps).  Counts only grow, and only
+    through :meth:`lookup`, so each curation re-keys just the rows probed
+    since the previous one and merges them into that curation's survivors
+    (see :meth:`_rank_hottest`).
     """
 
     def __init__(self, config: BufferConfig, row_bytes: int) -> None:
@@ -41,22 +41,22 @@ class OnSwitchBuffer:
         self._capacity_rows = config.capacity_bytes // row_bytes
         self._entries: "OrderedDict[int, int]" = OrderedDict()  # address -> insertion order
         self._fifo: Deque[int] = deque()
+        # HTR row counts, in first-seen order.
+        self._counts: Counter = Counter()
         # HTR eviction heap: (count-at-push, insertion-seq, address) triples.
-        # Profiler counts only grow between resets, so pushed counts are
-        # lower bounds and the classic lazy-update scheme finds the exact
-        # (count, insertion-order) minimum the linear scan used to select.
+        # Counts only grow, so pushed counts are lower bounds and the
+        # classic lazy-update scheme finds the exact (count, insertion-order)
+        # minimum the linear scan used to select.
         self._heap: List[Tuple[int, int, int]] = []
-        self._profiler = AccessTracker()
-        self._heap_resets = 0
         # Incremental HTR ranking: the last curation's top rows as sorted
-        # (-count, first-seen rank, address) keys, every profiled row's
+        # (-count, first-seen rank, address) keys, every counted row's
         # first-seen rank, and the rows probed since (a list both lookup
-        # paths append to; cleared in place).  Valid while the profiler's
-        # reset count equals ``_ranked_resets`` (None: rank from scratch).
+        # paths append to; cleared in place).  ``_rerank`` makes the next
+        # curation rank every counted row from scratch.
         self._ranked: List[Tuple[int, int, int]] = []
         self._first_seen: Dict[int, int] = {}
         self._touched: List[int] = []
-        self._ranked_resets: Optional[int] = None
+        self._rerank = False
         self._hits = 0
         self._misses = 0
         self._insertions = 0
@@ -88,10 +88,6 @@ class OnSwitchBuffer:
     def evictions(self) -> int:
         return self._evictions
 
-    @property
-    def profiler(self) -> AccessTracker:
-        return self._profiler
-
     def hit_ratio(self) -> float:
         total = self._hits + self._misses
         if total == 0:
@@ -103,8 +99,7 @@ class OnSwitchBuffer:
 
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> bool:
-        """Look up ``address``; records profiling info and hit/miss counters."""
-        self._profiler.record(address)
+        """Look up ``address``; updates hit/miss counters and HTR's row count."""
         self._accesses_since_curate += 1
         if self._config.policy == "none" or self._capacity_rows == 0:
             self._misses += 1
@@ -117,6 +112,7 @@ class OnSwitchBuffer:
         else:
             self._misses += 1
         if self._config.policy == "htr":
+            self._counts[address] += 1
             self._touched.append(address)
             if self._accesses_since_curate >= self._config.htr_interval:
                 self._curate()
@@ -135,9 +131,7 @@ class OnSwitchBuffer:
                 return
         self._entries[address] = self._insertions
         if self._config.policy == "htr":
-            heapq.heappush(
-                self._heap, (self._profiler.count(address), self._insertions, address)
-            )
+            heapq.heappush(self._heap, (self._counts[address], self._insertions, address))
         self._insertions += 1
         if self._config.policy == "fifo":
             self._fifo.append(address)
@@ -157,7 +151,7 @@ class OnSwitchBuffer:
         """
         self._config = dataclasses.replace(self._config, capacity_bytes=capacity_bytes)
         self._capacity_rows = capacity_bytes // self._row_bytes
-        self._ranked_resets = None
+        self._rerank = True
         while len(self._entries) > self._capacity_rows:
             victim, _ = self._entries.popitem(last=False)
             if victim in self._fifo:
@@ -187,14 +181,14 @@ class OnSwitchBuffer:
         # the original linear scan selected is the first minimal-count entry
         # in insertion order, i.e. the lexicographic minimum of
         # (count, insertion-seq) — which the lazy heap yields in O(log n)
-        # amortized instead of an O(n) profiler scan per eviction.
+        # amortized instead of an O(n) count scan per eviction.
         if not self._entries:
             return True
         top = self._heap_top()
         if top is None:
             return True
         coldest_count, _, coldest_addr = top
-        incoming_count = self._profiler.count(incoming)
+        incoming_count = self._counts[incoming]
         if incoming_count >= (coldest_count or 0):
             heapq.heappop(self._heap)
             del self._entries[coldest_addr]
@@ -207,16 +201,12 @@ class OnSwitchBuffer:
 
         Every resident row has a heap entry carrying its count when it was
         pushed.  Pops stale entries (evicted or re-curated addresses) and
-        refreshes entries whose profiler count grew since.  Counts only
-        grow until the profiler is reset or decayed, so pushed counts are
-        lower bounds and a fresh top is the true minimum; after a reset or
-        decay the heap is rebuilt first.
+        refreshes entries whose count grew since.  Counts only grow, so
+        pushed counts are lower bounds and a fresh top is the true minimum.
         """
-        if self._heap_resets != self._profiler.resets:
-            self._rebuild_heap()
         heap = self._heap
         entry_seq = self._entries.get
-        counts = self._profiler._counts
+        counts = self._counts
         while heap:
             count, seq, address = heap[0]
             if entry_seq(address) != seq:
@@ -230,13 +220,12 @@ class OnSwitchBuffer:
         return None
 
     def _rebuild_heap(self) -> None:
-        counts = self._profiler._counts
+        counts = self._counts
         self._heap = [(counts[address], seq, address) for address, seq in self._entries.items()]
         heapq.heapify(self._heap)
-        self._heap_resets = self._profiler.resets
 
     def _curate(self) -> None:
-        """Re-curate the HTR buffer to hold the hottest recorded rows."""
+        """Re-curate the HTR buffer to hold the most-counted rows."""
         self._accesses_since_curate = 0
         # Built in rank order: the set's iteration order decides which
         # newcomer gets which insertion seq.
@@ -249,7 +238,7 @@ class OnSwitchBuffer:
         # Survivors keep valid lower-bound heap entries; only newcomers are
         # pushed, and the evicted rows' entries are dropped lazily.
         heap = self._heap
-        counts = self._profiler._counts
+        counts = self._counts
         for addr in desired - current:
             if len(entries) < self._capacity_rows:
                 seq = self._insertions
@@ -262,24 +251,22 @@ class OnSwitchBuffer:
     def _rank_hottest(self) -> List[Tuple[int, int, int]]:
         """The ``capacity_rows`` hottest rows as sorted ``(-count, first-seen rank, address)``.
 
-        Same rows and order as ``profiler.hottest(capacity_rows)``.  A row
-        neither probed since the previous curation nor in its top-k kept
-        its count while every top-k row's count could only grow, so it
+        Same rows and order as ``Counter.most_common(capacity_rows)``.  A
+        row neither probed since the previous curation nor in its top-k
+        kept its count while every top-k row's count could only grow, so it
         still ranks below all k of them: the new top-k is the previous one
-        with the probed rows re-keyed.  After a profiler reset or decay, or
-        a resize, every profiled row is re-keyed against an empty top-k.
+        with the probed rows re-keyed.  After a resize, every counted row is
+        re-keyed against an empty top-k.
         """
-        profiler = self._profiler
-        counts = profiler._counts
+        counts = self._counts
         rank = self._first_seen
         touched = set(self._touched)
         # In place: the BufferKernel closures hold this list's append.
         self._touched.clear()
-        if profiler.resets != self._ranked_resets:
-            rank.clear()
+        if self._rerank:
             self._ranked = []
             touched = counts.keys()
-            self._ranked_resets = profiler.resets
+            self._rerank = False
         # New rows entered the counter at its end, in first-seen order.
         rank.update(zip(islice(counts, len(rank), None), range(len(rank), len(counts))))
         ranked = [key for key in self._ranked if key[2] not in touched]
@@ -301,32 +288,23 @@ class OnSwitchBuffer:
 class BufferKernel:
     """Flattened ``lookup``/``insert`` over one :class:`OnSwitchBuffer`.
 
-    The closures operate directly on the buffer's own ``OrderedDict``,
-    profiler counter and HTR touched list (so HTR curation and eviction
-    decisions are the buffer's own code), while the hit/miss/interval
-    counters live in locals until :meth:`sync`.  Behaviour is identical to
-    the scalar methods, including the HTR re-curation trigger position
-    inside ``lookup``.
-
-    Policies that never *read* the profiler mid-stream (LRU, FIFO, none —
-    only HTR consults counts for eviction and curation) additionally get a
-    ``probe``/``record`` pair: ``probe`` is ``lookup`` minus the per-row
-    profiler increment, and ``record`` folds a whole batch of addresses
-    into the profiler with one C-level counter update.  A
-    ``probe``+``record`` sequence leaves bit-identical buffer, profiler
-    and counter state; for HTR ``probe`` is ``None`` and callers use the
-    exact ``lookup``.
+    The closures operate directly on the buffer's own ``OrderedDict``, HTR
+    counter and touched list (so HTR curation and eviction decisions are
+    the buffer's own code), while the hit/miss/interval counters live in
+    locals until :meth:`sync`.  Behaviour is identical to the scalar
+    methods, including the HTR re-curation trigger position inside
+    ``lookup``.
     """
 
     def __init__(self, buffer: OnSwitchBuffer) -> None:
         self._buffer = buffer
-        self.lookup, self.probe, self.record, self.insert, self._snapshot = self._build()
+        self.lookup, self.insert, self._snapshot = self._build()
 
     def _build(self):
         buffer = self._buffer
         entries = buffer._entries
         move_to_end = entries.move_to_end
-        profiler_counts = buffer._profiler._counts
+        counts = buffer._counts
         policy = buffer._config.policy
         capacity = buffer._capacity_rows
         disabled = policy == "none" or capacity == 0
@@ -337,13 +315,10 @@ class BufferKernel:
         touch = buffer._touched.append
         hits = 0
         misses = 0
-        recorded = 0
         since_curate = buffer._accesses_since_curate
 
         def lookup(address: int) -> bool:
-            nonlocal hits, misses, recorded, since_curate
-            profiler_counts[address] += 1
-            recorded += 1
+            nonlocal hits, misses, since_curate
             since_curate += 1
             if disabled:
                 misses += 1
@@ -356,40 +331,12 @@ class BufferKernel:
             else:
                 misses += 1
             if is_htr:
+                counts[address] += 1
                 touch(address)
                 if since_curate >= htr_interval:
                     buffer._curate()
                     since_curate = 0
             return hit
-
-        def probe(address: int) -> bool:
-            """``lookup`` without the profiler increment (LRU/FIFO/none only)."""
-            nonlocal hits, misses
-            if disabled:
-                misses += 1
-                return False
-            if address in entries:
-                hits += 1
-                if is_lru:
-                    move_to_end(address)
-                return True
-            misses += 1
-            return False
-
-        pending: list = []
-        pending_extend = pending.extend
-
-        def record(addresses) -> None:
-            """Queue the profiler increments ``probe`` skipped, folded at sync.
-
-            Non-HTR policies never read the profiler mid-session, so the
-            counts can accumulate as a flat list (C-level ``extend``) and
-            hit the Counter once.
-            """
-            nonlocal recorded, since_curate
-            pending_extend(addresses)
-            recorded += len(addresses)
-            since_curate += len(addresses)
 
         heappush = heapq.heappush
 
@@ -406,34 +353,24 @@ class BufferKernel:
             seq = buffer._insertions
             entries[address] = seq
             if is_htr:
-                heappush(buffer._heap, (profiler_counts[address], seq, address))
+                heappush(buffer._heap, (counts[address], seq, address))
             buffer._insertions += 1
             if is_fifo:
                 buffer._fifo.append(address)
 
         def snapshot():
-            if pending:
-                profiler_counts.update(pending)
-                del pending[:]
-            return hits, misses, recorded, since_curate
+            return hits, misses, since_curate
 
-        # HTR reads profiler counts on every eviction/curation decision, so
-        # only the exact per-row lookup preserves its behaviour.
-        if is_htr:
-            probe_out = record_out = None
-        else:
-            probe_out, record_out = probe, record
-        return lookup, probe_out, record_out, insert, snapshot
+        return lookup, insert, snapshot
 
     def sync(self) -> None:
         """Fold the buffered counters back into the buffer object."""
-        hits, misses, recorded, since_curate = self._snapshot()
+        hits, misses, since_curate = self._snapshot()
         buffer = self._buffer
         buffer._hits += hits
         buffer._misses += misses
-        buffer._profiler._total += recorded
         buffer._accesses_since_curate = since_curate
-        self.lookup, self.probe, self.record, self.insert, self._snapshot = self._build()
+        self.lookup, self.insert, self._snapshot = self._build()
 
 
 __all__ = ["OnSwitchBuffer", "BufferKernel"]

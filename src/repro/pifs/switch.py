@@ -161,7 +161,7 @@ class PIFSSwitch(FabricSwitch):
             ready_to_issue += per_row_overhead_ns
 
             # Step 3: on-switch buffer lookup, then device fetch on a miss.
-            self.fm_extension.record_device_access(row.device_id, row.address)
+            self.fm_extension.record_device_access(row.device_id)
             if self.buffer.lookup(row.address):
                 buffer_hits += 1
                 data_ready = ready_to_issue + self.buffer.hit_latency_ns()
@@ -231,7 +231,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
 
     :meth:`accumulate` replays the scalar :meth:`PIFSSwitch.accumulate` flow
     — configuration flit, per-row fetch instruction on the upstream link,
-    FM-endpoint profiling, on-switch buffer lookup, device fetch on a miss,
+    FM-endpoint I/O counting, on-switch buffer lookup, device fetch on a miss,
     accumulate-logic busy time, result writeback — using the port/device/
     buffer kernels and plain float arithmetic.  Timing and all observable
     state (buffer contents and statistics, device counters, process-core
@@ -259,9 +259,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         self._hit_latency_ns = switch.buffer.hit_latency_ns()
         self._slot_bytes = switch.config.slot_bytes
         self._flit_bytes = switch.config.flit_bytes
-        self._fm_counts = switch.fm_extension.address_profiler._counts
         self._fm_io = switch.fm_extension.io_access_counters
-        self._fm_recorded = 0
         self._next_sumtag = switch._next_sumtag
         self._accumulations = 0
         self._elements = 0
@@ -294,11 +292,10 @@ class PIFSSwitchKernel(FabricSwitchKernel):
 
         The whole fetch-instruction stream crosses the upstream link in a
         single ``port_stream`` call (every instruction is issued at
-        ``configured_ns``), the FM address profile — never read during an
-        accumulation — is folded in with one bulk counter update, and
-        buffer hits skip their timing arithmetic entirely (their finish
-        times are monotone in instruction order, so the last hit stands in
-        for all of them), leaving per hit row only the buffer probe.
+        ``configured_ns``), and buffer hits skip their timing arithmetic
+        entirely (their finish times are monotone in instruction order, so
+        the last hit stands in for all of them), leaving per hit row only
+        the buffer lookup.
         """
         count = len(ks)
         if not count:
@@ -310,10 +307,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         # link — all issued at configured_ns, so one stream call replays the
         # per-instruction serialization exactly.
         arrivals = port_stream(self._slot_bytes, configured_ns, count)
-        # FM address profiling is read only between sessions: one bulk update.
         addresses = [addr[k] for k in ks]
-        self._fm_counts.update(addresses)
-        self._fm_recorded += count
         fm_io = self._fm_io
         fm_io_get = fm_io.get
         # Steps 3-4: per-row buffer/device data path and accumulation.
@@ -369,8 +363,6 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         super().sync()
         switch = self._switch
         switch._next_sumtag = self._next_sumtag
-        switch.fm_extension.address_profiler._total += self._fm_recorded
-        self._fm_recorded = 0
         switch.process_core.apply_accumulation_batch(
             self._accumulations, self._elements, self._last_retire_ns
         )

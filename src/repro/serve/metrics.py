@@ -232,8 +232,6 @@ class SLASweepResult:
 
 
 def _geometric_grid(lo: float, hi: float, points: int) -> List[float]:
-    if points < 2:
-        return [hi]
     ratio = (hi / lo) ** (1.0 / (points - 1))
     return [lo * ratio**i for i in range(points)]
 
@@ -263,6 +261,10 @@ def sla_sweep(
         raise ValueError("qps_bounds must satisfy 0 < lo <= hi")
     if sla_ns <= 0:
         raise ValueError("sla_ns must be positive")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters!r}")
 
     probes: List[SLAProbe] = []
 
@@ -291,7 +293,7 @@ def sla_sweep(
         return SLASweepResult(sla_ns, percentile, best_ok, probes)
 
     search_lo, search_hi = best_ok, first_fail
-    for _ in range(max(0, refine_iters)):
+    for _ in range(refine_iters):
         mid = (search_lo + search_hi) / 2.0
         if probe_of(mid, evaluate(mid)).meets_sla:
             search_lo = mid

@@ -26,13 +26,13 @@ Two execution engines replay a workload (:meth:`SLSSystem.set_engine`):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ENGINES, PAGE_SIZE_BYTES, SystemConfig
 from repro.cxl.device import CXLType3Device
 from repro.cxl.switch import FabricSwitch, SwitchPort
 from repro.dram.device import DRAMDevice
-from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.page import page_id_of
 from repro.memsys.tiered import TieredMemorySystem
@@ -521,19 +521,19 @@ class SLSSystem(ABC):
     def _local_page_budget(self) -> int:
         return self.system.local_dram_capacity_bytes // PAGE_SIZE_BYTES
 
-    def _profile_page_hotness(self, workload: SLSWorkload) -> AccessTracker:
+    def _profile_page_hotness(self, workload: SLSWorkload) -> Counter:
         """Count page accesses across the whole workload (profiling pass).
 
-        Vectorized: one C-level counter update per address array of the
-        workload, in request order.  Chunked ``record_many`` calls keep the
-        scalar loop's counts *and* first-occurrence insertion order (the
-        tie-breaker of ``AccessTracker.hottest``), so placements do not
-        depend on how the workload cuts its address arrays.
+        One C-level ``Counter.update`` per address array of the workload,
+        in request order.  The counter keeps the scalar loop's counts *and*
+        first-occurrence order (the tie-breaker of ``most_common``), so
+        placements do not depend on how the workload cuts its address
+        arrays.
         """
-        tracker = AccessTracker()
+        hotness: Counter = Counter()
         for addresses in workload.iter_address_arrays():
-            tracker.record_many((addresses // PAGE_SIZE_BYTES).tolist())
-        return tracker
+            hotness.update((addresses // PAGE_SIZE_BYTES).tolist())
+        return hotness
 
     def place_capacity_order(
         self, workload: SLSWorkload, interleave_spill: bool = True
@@ -570,7 +570,7 @@ class SLSSystem(ABC):
         budget = self._local_page_budget()
         num_cxl = self.system.num_cxl_devices
         hotness = self._profile_page_hotness(workload)
-        ranked = [page for page, _ in hotness.hottest(workload.address_space.total_pages)]
+        ranked = [page for page, _ in hotness.most_common()]
         hot_set = set(ranked[:budget])
         placement: Dict[int, int] = {}
         spill_index = 0

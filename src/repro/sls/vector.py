@@ -19,11 +19,12 @@ path as the oracle* and restructures the work in two stages:
    state that perform exactly the scalar arithmetic in the same order, so
    every finish time is bit-identical to the scalar engine.
 
-Access-counter side effects (page/node hotness feeding the page-management
-policies) are buffered as a list of page ids and flushed through
-:meth:`~repro.memsys.tiered.TieredMemorySystem.record_pages` before every
-maintenance pass and at session end, preserving every placement decision
-the scalar engine would make.
+Access-counter side effects (the page count column and the per-node
+counters that feed the page-management policies) are buffered as a list
+of page ids and flushed through
+:meth:`~repro.memsys.tiered.TieredMemorySystem.record_pages`, two
+bincounts, before every maintenance pass and at session end, preserving
+every placement decision the scalar engine would make.
 """
 
 from __future__ import annotations
@@ -293,7 +294,7 @@ class VectorContext:
         ]
 
     def flush_tiered(self) -> None:
-        """Flush buffered access counts into the tiered memory system.
+        """Flush buffered access counts into the page count column and node counters.
 
         Must run before anything reads page/node hotness — the engine calls
         it ahead of every maintenance pass and at session end.

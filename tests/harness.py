@@ -117,10 +117,7 @@ def backend_fingerprint(system) -> dict:
             system.tiered.node_id_table().tolist(),
             system.tiered.access_count_table().tolist(),
         ),
-        "node_access": {
-            node.node_id: system.tiered.node_access_tracker(node.node_id).as_dict()
-            for node in system.tiered.nodes()
-        },
+        "node_access": system.tiered.node_access_counts(),
     }
     from repro.pifs.switch import PIFSSwitch
 

@@ -564,6 +564,23 @@ class TestCLI:
             rows = list(csv.reader(handle))
         assert rows[0] == ["metric", "value"] and len(rows) > 1
 
+    def test_trace_out_builds_the_chrome_trace_once(self, tmp_path, monkeypatch, capsys):
+        from repro.api.cli import main
+        from repro.obs.recorder import TraceRecorder
+
+        builds = []
+        build = TraceRecorder.to_chrome_trace
+
+        def counted(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(TraceRecorder, "to_chrome_trace", counted)
+        trace = tmp_path / "trace.json"
+        assert main(["run", "pond", "--quick", "--trace-out", str(trace)]) == 0
+        assert len(builds) == 1
+        assert json.loads(trace.read_text()) == build(builds[0])
+
     def test_run_shards_prints_a_fleet_result(self, capsys):
         from repro.api.cli import main
         from repro.fleet import FleetResult

@@ -31,7 +31,6 @@ from repro.api.registry import available_systems, create_system
 from repro.api.session import Simulation, RunSpec, build_system, clear_cache
 from repro.config import DEFAULT_SYSTEM, PAGE_SIZE_BYTES, RMC1, WorkloadConfig, scaled_model
 from repro.dram.device import DRAMDevice
-from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier, placement_arrays
 from repro.memsys.tiered import TieredMemorySystem
 from repro.serve.server import ServeConfig, serve
@@ -421,10 +420,6 @@ class TestBatchedPrimitives:
         batched.record_pages((addresses // PAGE_SIZE_BYTES).tolist())
         assert np.array_equal(scalar.access_count_table(), batched.access_count_table())
         assert scalar.node_access_counts() == batched.node_access_counts()
-        for node_id in (0, 1):
-            assert list(scalar.node_access_tracker(node_id).as_dict().items()) == list(
-                batched.node_access_tracker(node_id).as_dict().items()
-            )
 
     def test_node_id_table_tracks_generation(self):
         tiered = TieredMemorySystem(
@@ -462,15 +457,3 @@ class TestBatchedPrimitives:
         assert got.tolist() == expected
         assert batch_node.busy_until_ns == scalar_node.busy_until_ns
         assert batch_node.access_count == scalar_node.access_count
-
-    def test_access_tracker_record_many(self):
-        scalar_tracker = AccessTracker()
-        bulk_tracker = AccessTracker()
-        keys = [3, 1, 3, 2, 1, 3]
-        for key in keys:
-            scalar_tracker.record(key)
-        bulk_tracker.record_many(keys)
-        assert scalar_tracker.as_dict() == bulk_tracker.as_dict()
-        assert scalar_tracker.total == bulk_tracker.total
-        # Insertion order (the hottest/coldest tie-breaker) is preserved too.
-        assert list(scalar_tracker.keys()) == list(bulk_tracker.keys())

@@ -5,7 +5,6 @@ import pytest
 from repro.config import GIB, PAGE_SIZE_BYTES, RMC1
 from repro.memsys.address_space import AddressSpace
 from repro.memsys.allocator import InterleaveAllocator, PlacementPolicy
-from repro.memsys.hotness import AccessTracker
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.page import page_id_of
 from repro.memsys.tiered import TieredMemorySystem
@@ -149,46 +148,6 @@ class TestAllocator:
             InterleaveAllocator(make_nodes(), spill_fraction=1.5)
 
 
-class TestAccessTracker:
-    def test_record_and_count(self):
-        tracker = AccessTracker()
-        tracker.record(1)
-        tracker.record(1)
-        tracker.record(2)
-        assert tracker.count(1) == 2
-        assert tracker.total == 3
-
-    def test_hottest_and_coldest(self):
-        tracker = AccessTracker()
-        for key, times in ((1, 5), (2, 1), (3, 3)):
-            for _ in range(times):
-                tracker.record(key)
-        assert tracker.hottest(1)[0][0] == 1
-        assert tracker.coldest(1)[0][0] == 2
-
-    def test_frequency(self):
-        tracker = AccessTracker()
-        tracker.record(1, weight=3)
-        tracker.record(2)
-        assert tracker.frequency(1) == pytest.approx(0.75)
-
-    def test_decay_drops_zeroes(self):
-        tracker = AccessTracker()
-        tracker.record(1)
-        tracker.decay(0.4)
-        assert tracker.count(1) == 0
-        assert 1 not in set(tracker.keys())
-
-    def test_merge(self):
-        a, b = AccessTracker(), AccessTracker()
-        a.record(1)
-        b.record(1)
-        b.record(2)
-        a.merge(b)
-        assert a.count(1) == 2
-        assert a.total == 3
-
-
 class TestTieredMemorySystem:
     def _system(self, pages=64, num_cxl=2):
         tiered = TieredMemorySystem(make_nodes(num_cxl=num_cxl))
@@ -253,9 +212,16 @@ class TestTieredMemorySystem:
         with pytest.raises(ValueError):
             TieredMemorySystem(make_nodes(), migration_mode="teleport")
 
-    def test_reset_access_counters(self):
-        tiered = self._system()
-        tiered.record_access(0)
-        tiered.reset_access_counters()
-        assert tiered.node(0).access_count == 0
-        assert tiered.access_count_table()[0] == 0
+    def test_ranked_pages_on_a_node(self):
+        """Hottest or coldest first, ties in page-id order, unaccessed pages included."""
+        tiered = self._system(pages=8)
+        assert tiered.pages_on(3).tolist() == [1, 3, 5, 7]
+        assert tiered.pages_on(2).tolist() == []
+        for page_id, times in ((3, 3), (5, 1), (7, 3), (0, 9)):
+            for _ in range(times):
+                tiered.record_access(page_id * PAGE_SIZE_BYTES)
+        pages = tiered.pages_on(3)
+        assert tiered.ranked_pages(pages, 2, hottest=True) == [(3, 3), (7, 3)]
+        assert tiered.ranked_pages(pages, 2, hottest=False) == [(1, 0), (5, 1)]
+        assert tiered.ranked_pages(pages, 9, hottest=True) == [(3, 3), (7, 3), (5, 1), (1, 0)]
+        assert tiered.ranked_pages(pages, 0, hottest=True) == []

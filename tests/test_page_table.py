@@ -4,8 +4,7 @@
 owning node (-1 = unplaced) and the access count.  :class:`PageDictModel`
 is the design they replace — a dict of page records plus per-node
 counters — kept here as the reference.  Random sequences of every
-operation that touches the columns must leave both in the same state,
-tracker key order included (it breaks ties in ``AccessTracker.hottest``).
+operation that touches the columns must leave both in the same state.
 The claim-&-swap candidates must equal the sort-based ranking truncated
 to the swap cap.
 """
@@ -31,13 +30,12 @@ def make_tiered():
 
 
 class PageDictModel:
-    """One record per placed page, per-node counters and ordered trackers."""
+    """One record per placed page and per-node counters."""
 
     def __init__(self):
         self.node = {}
         self.count = {}
         self.node_count = dict.fromkeys(range(len(TIERS)), 0)
-        self.trackers = {node_id: {} for node_id in range(len(TIERS))}
 
     def place(self, page_id, node_id):
         self.node[page_id] = node_id
@@ -46,8 +44,6 @@ class PageDictModel:
     def record(self, page_id):
         node_id = self.node[page_id]
         self.count[page_id] += 1
-        tracker = self.trackers[node_id]
-        tracker[page_id] = tracker.get(page_id, 0) + 1
         self.node_count[node_id] += 1
 
     def swap(self, page_a, page_b):
@@ -55,14 +51,6 @@ class PageDictModel:
 
     def decay(self, factor):
         self.count = {page_id: int(count * factor) for page_id, count in self.count.items()}
-        for node_id, tracker in self.trackers.items():
-            decayed = {key: int(value * factor) for key, value in tracker.items()}
-            self.trackers[node_id] = {key: value for key, value in decayed.items() if value > 0}
-
-    def reset(self):
-        self.count = dict.fromkeys(self.count, 0)
-        self.node_count = dict.fromkeys(self.node_count, 0)
-        self.trackers = {node_id: {} for node_id in self.trackers}
 
 
 def assert_same_state(tiered, model):
@@ -75,15 +63,14 @@ def assert_same_state(tiered, model):
     assert tiered.node_id_table().tolist() == nodes.tolist()
     assert tiered.access_count_table().tolist() == counts.tolist()
     assert tiered.node_access_counts() == model.node_count
-    for node_id, expected in model.trackers.items():
-        tracker = tiered.node_access_tracker(node_id)
-        assert list(tracker.as_dict().items()) == list(expected.items())
-        assert tracker.total == sum(expected.values())
+    for node_id in range(len(TIERS)):
+        held = sorted(page_id for page_id, node in model.node.items() if node == node_id)
+        assert tiered.pages_on(node_id).tolist() == held
 
 
 OPS = st.lists(
     st.tuples(
-        st.sampled_from(["place", "migrate", "swap", "record", "flush", "decay", "reset"]),
+        st.sampled_from(["place", "migrate", "swap", "record", "flush", "decay"]),
         st.integers(min_value=0, max_value=40),
         st.integers(min_value=0, max_value=40),
         st.lists(st.integers(min_value=0, max_value=40), max_size=12),
@@ -125,13 +112,10 @@ def test_columns_follow_the_page_dict_model(ops):
                 tiered.record_pages(pages)
             for page_id in pages:
                 model.record(page_id)
-        elif op == "decay":
+        else:
             factor = DECAY_FACTORS[a % len(DECAY_FACTORS)]
             tiered.decay_hotness(factor)
             model.decay(factor)
-        else:
-            tiered.reset_access_counters()
-            model.reset()
         assert_same_state(tiered, model)
 
 

@@ -132,6 +132,42 @@ class TestSpreading:
         with pytest.raises(ValueError):
             SpreadingPolicy(migrate_threshold=0.0)
 
+    @staticmethod
+    def three_nodes(destination_pages, placement, hits):
+        """Local DRAM (node 0) and CXL nodes 1 and 2; node 2 holds ``destination_pages``."""
+        tiered = TieredMemorySystem([
+            MemoryNode(0, MemoryTier.LOCAL_DRAM, 1 * GIB, 90.0, 400.0),
+            MemoryNode(1, MemoryTier.CXL, 1 * GIB, 190.0, 25.0),
+            MemoryNode(2, MemoryTier.CXL, destination_pages * PAGE_SIZE_BYTES, 190.0, 25.0),
+        ])
+        tiered.install_placement(placement)
+        for page, times in hits.items():
+            for _ in range(times):
+                tiered.record_access(page * PAGE_SIZE_BYTES)
+        return tiered
+
+    def test_a_page_promoted_off_the_warm_node_takes_no_candidate_slot(self):
+        """The four hottest pages node 1 still holds move, not three of them."""
+        placement = {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 2}
+        tiered = self.three_nodes(16, placement, {1: 100, 2: 50, 3: 40, 4: 30, 5: 20, 7: 10})
+        # Claim-&-swap promotes page 1 and demotes page 0 onto node 1.
+        GlobalHotnessPolicy(max_swaps_per_epoch=1).run_epoch(tiered)
+        outcome = SpreadingPolicy().rebalance(tiered)
+        assert outcome.migrations == 4
+        assert tiered.node_id_table().tolist() == [1, 0, 2, 2, 2, 2, 1, 2]
+
+    def test_a_full_destination_swaps_with_a_page_it_holds(self):
+        """The swap partner is on the destination, so local DRAM keeps its pages."""
+        placement = {0: 0, 1: 1, 2: 1, 3: 1, 4: 1, 5: 2, 6: 2}
+        tiered = self.three_nodes(2, placement, {1: 50, 2: 40, 3: 30, 4: 20, 5: 1, 6: 5})
+        # Page 5 is promoted out of the full destination; page 0 takes its place.
+        tiered.swap_pages(5, 0)
+        outcome = SpreadingPolicy(max_migrations_per_epoch=2).rebalance(tiered)
+        assert outcome.migrations == 2
+        table = tiered.node_id_table().tolist()
+        assert [page for page, node in enumerate(table) if node == 0] == [5]
+        assert table == [1, 2, 1, 1, 1, 0, 2]
+
 
 class TestMigrationCostModel:
     def test_cacheline_block_cheaper(self):

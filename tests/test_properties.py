@@ -10,7 +10,6 @@ from repro.config import BufferConfig, PIFSConfig
 from repro.cxl.link import CXLLink
 from repro.dlrm.embedding import EmbeddingTable
 from repro.memsys.address_space import AddressSpace
-from repro.memsys.hotness import AccessTracker
 from repro.pifs.instructions import VECTOR_SIZE_BYTES, decode_vector_size, encode_vector_size
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
 from repro.pifs.ooo import OutOfOrderAccumulator
@@ -175,20 +174,3 @@ def test_min_max_normalize_properties(values):
 @settings(max_examples=50, deadline=None)
 def test_standard_deviation_non_negative(values):
     assert standard_deviation(values) >= 0.0
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(min_value=0, max_value=100), st.integers(min_value=1, max_value=5)),
-        min_size=1,
-        max_size=100,
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_access_tracker_total_is_sum(records):
-    tracker = AccessTracker()
-    for key, weight in records:
-        tracker.record(key, weight)
-    assert tracker.total == sum(weight for _, weight in records)
-    hottest_key, hottest_count = tracker.hottest(1)[0]
-    assert hottest_count == max(tracker.count(k) for k in tracker.keys())

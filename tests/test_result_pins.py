@@ -5,6 +5,8 @@ of its JSON form, so any changed counter, latency or migration changes
 it.  Config B shortens the page-management epoch so the policies of
 Pond+PM, RecNMP, TPP and PIFS-Rec migrate often; TPP then makes fewer
 swaps than its cap and leaves its epochs through the threshold ``break``.
+Config C is config B on RMC1, where embedding spreading moves pages
+between CXL nodes; on RMC2 it moves none.
 """
 
 import hashlib
@@ -30,6 +32,12 @@ CONFIG_B = {
     "tpp": "53ff9302a2336b3c",
     "pifs-rec": "98678db2d617bc67",
 }
+CONFIG_C = {
+    "pond+pm": "71f63d344b5505e7",
+    "recnmp": "1a9decf7c990cf4e",
+    "tpp": "8240534bbb058fdd",
+    "pifs-rec": "761025fc80da49cd",
+}
 PINS = [(system, False, digest) for system, digest in CONFIG_A.items()] + [
     (system, True, digest) for system, digest in CONFIG_B.items()
 ]
@@ -40,12 +48,22 @@ def result_digest(sim) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("engine", ["scalar", "vector"])
-@pytest.mark.parametrize("system, short_epoch, digest", PINS)
-def test_result_digest_is_pinned(system, short_epoch, digest, engine):
-    simulation = Simulation(system).model("RMC2").batch_size(32).num_batches(2).engine(engine)
+def run_digest(system, model, short_epoch, engine) -> str:
+    simulation = Simulation(system).model(model).batch_size(32).num_batches(2).engine(engine)
     if short_epoch:
         simulation = simulation.configure(
             lambda config: replace_page_mgmt(config, migration_epoch_accesses=256)
         )
-    assert result_digest(simulation.run().sim) == digest
+    return result_digest(simulation.run().sim)
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("system, short_epoch, digest", PINS)
+def test_result_digest_is_pinned(system, short_epoch, digest, engine):
+    assert run_digest(system, "RMC2", short_epoch, engine) == digest
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+@pytest.mark.parametrize("system, digest", CONFIG_C.items())
+def test_rmc1_short_epoch_digest_is_pinned(system, digest, engine):
+    assert run_digest(system, "RMC1", True, engine) == digest

@@ -380,6 +380,23 @@ class TestSLASweep:
         with pytest.raises(ValueError):
             sla_sweep(lambda qps: None, -1.0, (1e4, 1e5))
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"grid_points": 1}, "grid_points must be >= 2"),
+            ({"grid_points": 0, "refine_iters": -5}, "grid_points must be >= 2"),
+            ({"refine_iters": -1}, "refine_iters must be >= 0"),
+        ],
+    )
+    def test_search_knobs_below_their_minimum_are_rejected_before_any_probe(self, knobs, message):
+        def evaluate(qps):
+            pytest.fail(f"probed {qps} qps")
+
+        with pytest.raises(ValueError, match=message):
+            sla_sweep(evaluate, 6e4, (5e4, 4e6), **knobs)
+        with pytest.raises(ValueError, match=message):
+            sweep_session().sla_sweep(6e4, (5e4, 4e6), **knobs)
+
 
 # ---------------------------------------------------------------------------
 # CLI
