@@ -81,7 +81,7 @@ def _replay_grid():
         vector_system = _session(name, "vector").build_system()
         scalar_s, scalar_result = _best_of(REPEATS, scalar_system, workload)
         vector_s, vector_result = _best_of(REPEATS, vector_system, workload)
-        assert vector_system._vector is not None, f"{name}: vector context missing"
+        assert vector_system._vector_fallback_reason is None, f"{name}: vector context missing"
         assert scalar_result.to_dict() == vector_result.to_dict(), (
             f"{name}: vector engine diverged from the scalar oracle"
         )
@@ -157,7 +157,7 @@ def _fabric_grid():
         vector_system = _session(name, "vector", FABRIC_MODEL).build_system()
         scalar_s, scalar_result = _best_of(REPEATS, scalar_system, workload)
         vector_s, vector_result = _best_of(REPEATS, vector_system, workload)
-        assert vector_system._vector is not None, f"{name}: vector context missing"
+        assert vector_system._vector_fallback_reason is None, f"{name}: vector context missing"
         assert scalar_result.to_dict() == vector_result.to_dict(), (
             f"{name}: vector engine diverged from the scalar oracle"
         )

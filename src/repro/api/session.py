@@ -1168,8 +1168,9 @@ class Simulation:
         identical to the serial path (the refinement stage is sequential
         either way).
         """
-        from repro.serve.metrics import sla_sweep as _sla_sweep
+        from repro.serve.metrics import check_sla_sweep_args, sla_sweep as _sla_sweep
 
+        check_sla_sweep_args(sla_ns, qps_bounds, grid_points, refine_iters)
         if processes is not None and processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes!r}")
         config = self._serve_config(

@@ -67,7 +67,7 @@ class BeaconSystem(SLSSystem):
     def process_request_vector(self, request: SLSRequest, start_ns: float, host_id: int) -> float:
         """The in-switch accumulation flow on pre-resolved batches."""
         ctx = self._vector
-        begin, end = ctx.bounds[request.request_id]
+        begin, end = ctx.locate(request.request_id)
         # CXL-only placement: the precomputed split is the whole bag.
         _, remote_ks, remote_devs, _ = ctx.split(begin, end)
         # Every row is recorded: one C-level bulk append for the bag.

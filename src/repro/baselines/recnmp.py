@@ -185,7 +185,7 @@ class RecNMPSystem(SLSSystem):
     def process_request_vector(self, request: SLSRequest, start_ns: float, host_id: int) -> float:
         """The NMP request flow on pre-resolved batches (same arithmetic)."""
         ctx = self._vector
-        begin, end = ctx.bounds[request.request_id]
+        begin, end = ctx.locate(request.request_id)
         local_ks, remote_ks, remote_devs, _ = ctx.split(begin, end)
         addr = ctx.addr
         counters = self._counters

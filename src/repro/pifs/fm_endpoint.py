@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -98,11 +99,11 @@ class FMEndpointExtension:
     def __init__(self, page_size: int = 4096) -> None:
         self.indexing = MemoryIndexingUnit(page_size=page_size)
         self.migration_controller = MigrationController()
-        self.io_access_counters: Dict[int, int] = {}
+        self.io_access_counters: Counter = Counter()
 
     def record_device_access(self, device_id: int) -> None:
         """Count one I/O access to ``device_id`` for device balancing."""
-        self.io_access_counters[device_id] = self.io_access_counters.get(device_id, 0) + 1
+        self.io_access_counters[device_id] += 1
 
     def device_access_counts(self) -> Dict[int, int]:
         return dict(self.io_access_counters)

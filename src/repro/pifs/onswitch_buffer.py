@@ -293,12 +293,15 @@ class BufferKernel:
     the buffer's own code), while the hit/miss/interval counters live in
     locals until :meth:`sync`.  Behaviour is identical to the scalar
     methods, including the HTR re-curation trigger position inside
-    ``lookup``.
+    ``lookup``.  A disabled buffer (policy ``none`` or no capacity) misses
+    every lookup and ignores every insert, so callers may skip both and
+    count the misses with one ``miss(count)`` call.
     """
 
     def __init__(self, buffer: OnSwitchBuffer) -> None:
         self._buffer = buffer
-        self.lookup, self.insert, self._snapshot = self._build()
+        self.disabled = buffer._config.policy == "none" or buffer._capacity_rows == 0
+        self.lookup, self.insert, self.miss, self._snapshot = self._build()
 
     def _build(self):
         buffer = self._buffer
@@ -307,7 +310,7 @@ class BufferKernel:
         counts = buffer._counts
         policy = buffer._config.policy
         capacity = buffer._capacity_rows
-        disabled = policy == "none" or capacity == 0
+        disabled = self.disabled
         is_lru = policy == "lru"
         is_htr = policy == "htr"
         is_fifo = policy == "fifo"
@@ -358,10 +361,16 @@ class BufferKernel:
             if is_fifo:
                 buffer._fifo.append(address)
 
+        def miss(count: int) -> None:
+            """``count`` lookups of a disabled buffer, counted at once."""
+            nonlocal misses, since_curate
+            since_curate += count
+            misses += count
+
         def snapshot():
             return hits, misses, since_curate
 
-        return lookup, insert, snapshot
+        return lookup, insert, miss, snapshot
 
     def sync(self) -> None:
         """Fold the buffered counters back into the buffer object."""
@@ -370,7 +379,7 @@ class BufferKernel:
         buffer._hits += hits
         buffer._misses += misses
         buffer._accesses_since_curate = since_curate
-        self.lookup, self.insert, self._snapshot = self._build()
+        self.lookup, self.insert, self.miss, self._snapshot = self._build()
 
 
 __all__ = ["OnSwitchBuffer", "BufferKernel"]

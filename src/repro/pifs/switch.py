@@ -259,7 +259,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         self._hit_latency_ns = switch.buffer.hit_latency_ns()
         self._slot_bytes = switch.config.slot_bytes
         self._flit_bytes = switch.config.flit_bytes
-        self._fm_io = switch.fm_extension.io_access_counters
+        self._count_device_io = switch.fm_extension.io_access_counters.update
         self._next_sumtag = switch._next_sumtag
         self._accumulations = 0
         self._elements = 0
@@ -307,42 +307,56 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         # link — all issued at configured_ns, so one stream call replays the
         # per-instruction serialization exactly.
         arrivals = port_stream(self._slot_bytes, configured_ns, count)
-        addresses = [addr[k] for k in ks]
-        fm_io = self._fm_io
-        fm_io_get = fm_io.get
+        # The FM endpoint's per-device I/O counts, once per accumulation.
+        self._count_device_io(devs)
         # Steps 3-4: per-row buffer/device data path and accumulation.
         register_ns = self._register_fetch_ns
         element_ns = self._element_ns
         hit_ns = self._hit_latency_ns
-        lookup = self.buffer.lookup
-        insert = self.buffer.insert
+        buffer = self.buffer
         last_done = configured_ns
-        # Buffer hits finish in instruction order (the arrival chain on the
-        # serializing upstream link is non-decreasing), so only the last
-        # hit's finish time has to be materialized — per hit row the loop
-        # below does the buffer probe and nothing else.
         last_hit = -1
-        for i in range(count):
-            address = addresses[i]
-            device_id = devs[i]
-            fm_io[device_id] = fm_io_get(device_id, 0) + 1
-            if lookup(address):
-                last_hit = i
-            else:
+        if buffer.disabled:
+            # Every row misses and nothing is inserted: no probe per row.
+            buffer.miss(count)
+            for i in range(count):
                 k = ks[i]
                 # The scalar path adds the register latency and the per-row
                 # overhead (BEACON's address translation) as separate sums.
-                data_ready = device_access[device_id](
+                data_ready = device_access[devs[i]](
                     cch[k],
                     cfb[k],
                     crow[k],
-                    address,
+                    addr[k],
                     (arrivals[i] + register_ns) + per_row_overhead_ns,
                 )
-                insert(address)
                 done = data_ready + element_ns
                 if done > last_done:
                     last_done = done
+        else:
+            lookup = buffer.lookup
+            insert = buffer.insert
+            # Buffer hits finish in instruction order (the arrival chain on
+            # the serializing upstream link is non-decreasing), so only the
+            # last hit's finish time has to be materialized — per hit row
+            # the loop below does the buffer probe and nothing else.
+            for i in range(count):
+                k = ks[i]
+                address = addr[k]
+                if lookup(address):
+                    last_hit = i
+                else:
+                    data_ready = device_access[devs[i]](
+                        cch[k],
+                        cfb[k],
+                        crow[k],
+                        address,
+                        (arrivals[i] + register_ns) + per_row_overhead_ns,
+                    )
+                    insert(address)
+                    done = data_ready + element_ns
+                    if done > last_done:
+                        last_done = done
         if last_hit >= 0:
             done = ((arrivals[last_hit] + register_ns) + per_row_overhead_ns + hit_ns) + element_ns
             if done > last_done:

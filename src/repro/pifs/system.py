@@ -174,7 +174,7 @@ class PIFSRecSystem(SLSSystem):
         flattened kernels with the scalar path's exact arithmetic.
         """
         ctx = self._vector
-        begin, end = ctx.bounds[request.request_id]
+        begin, end = ctx.locate(request.request_id)
         local_ks, remote_ks, remote_devs, remote_sws = ctx.split(begin, end)
         # Bulk-append the whole bag in C; counting waits for the flush.
         ctx.pending_pages.extend(ctx.page[begin:end])

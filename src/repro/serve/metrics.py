@@ -236,6 +236,25 @@ def _geometric_grid(lo: float, hi: float, points: int) -> List[float]:
     return [lo * ratio**i for i in range(points)]
 
 
+def check_sla_sweep_args(
+    sla_ns: float, qps_bounds: Tuple[float, float], grid_points: int, refine_iters: int
+) -> None:
+    """Raise a ``ValueError`` naming the :func:`sla_sweep` argument out of range.
+
+    Callers that start workers for the sweep check first, so a bad value
+    fails before any process exists.
+    """
+    lo, hi = qps_bounds
+    if lo <= 0 or hi <= 0 or lo > hi:
+        raise ValueError("qps_bounds must satisfy 0 < lo <= hi")
+    if sla_ns <= 0:
+        raise ValueError("sla_ns must be positive")
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
+    if refine_iters < 0:
+        raise ValueError(f"refine_iters must be >= 0, got {refine_iters!r}")
+
+
 def sla_sweep(
     evaluate: Callable[[float], ServeResult],
     sla_ns: float,
@@ -256,16 +275,8 @@ def sla_sweep(
     tight budget also meets every looser one, so a tighter budget's search
     path can never overtake a looser one's.
     """
+    check_sla_sweep_args(sla_ns, qps_bounds, grid_points, refine_iters)
     lo, hi = qps_bounds
-    if lo <= 0 or hi <= 0 or lo > hi:
-        raise ValueError("qps_bounds must satisfy 0 < lo <= hi")
-    if sla_ns <= 0:
-        raise ValueError("sla_ns must be positive")
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points!r}")
-    if refine_iters < 0:
-        raise ValueError(f"refine_iters must be >= 0, got {refine_iters!r}")
-
     probes: List[SLAProbe] = []
 
     def probe_of(qps: float, result: ServeResult) -> SLAProbe:
@@ -307,6 +318,7 @@ __all__ = [
     "SLAProbe",
     "SLASweepResult",
     "ServeResult",
+    "check_sla_sweep_args",
     "sla_sweep",
     "summarize",
 ]

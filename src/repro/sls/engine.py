@@ -305,8 +305,9 @@ class SLSSystem(ABC):
         Batched twin of calling :meth:`service_request` once per request
         with each start at the previous completion: returns the per-request
         completion times, from which the caller recovers every request's
-        cursor (request ``i`` starts at ``result[i - 1]``).  The batch is
-        resolved on the vector context (:meth:`VectorContext.load_window
+        cursor (request ``i`` starts at ``result[i - 1]``).  The batch
+        becomes the vector context's dispatch unit
+        (:meth:`VectorContext.load_window
         <repro.sls.vector.VectorContext.load_window>`) right before it is
         timed, so the context never holds more than this batch.
         Maintenance triggered by the epoch counter lands on the serving
@@ -374,9 +375,14 @@ class SLSSystem(ABC):
         return stall_ns
 
     def finish_session(self, total_ns: float) -> SimResult:
-        """Assemble the :class:`SimResult` for the session ended at ``total_ns``."""
+        """Assemble the :class:`SimResult` for the session ended at ``total_ns``.
+
+        The vector context is synced into the device models and dropped:
+        it belongs to the session, so a finished system holds none.
+        """
         if self._vector is not None:
             self._vector.flush_all()
+            self._vector = None
         result = self._build_result(self.workload, total_ns)
         obs = self.obs
         if obs.enabled:
@@ -425,9 +431,10 @@ class SLSSystem(ABC):
         close_request = self._close_request
         # Every workload is replayed window by window (an eager workload is
         # one window): only the active window's requests and, under the
-        # vector engine, its resolution arrays are resident.  Lane state,
-        # maintenance epochs and the vector kernels persist across windows,
-        # so the result does not depend on where the windows are cut.
+        # vector engine, its address column and one resolved block are
+        # resident.  Lane state, maintenance epochs and the vector kernels
+        # persist across windows, so the result does not depend on where
+        # the windows are cut.
         with self.obs.phase("engine.execute"):
             for window in workload.iter_windows():
                 if vector is not None:
@@ -648,15 +655,15 @@ class SLSSystem(ABC):
     def host_accumulate_bag_vector(self, request: SLSRequest, start_ns: float, host_id: int) -> float:
         """Vector-engine twin of :meth:`host_accumulate_bag`.
 
-        The request's addresses were resolved to (page, node, DRAM
-        coordinates) with its dispatch unit; the MLP-group timing below
-        runs on the flattened kernels with the exact scalar arithmetic, and
-        the page/node access-recording side effects are buffered on the
-        context for the pre-maintenance flush.
+        :meth:`VectorContext.locate <repro.sls.vector.VectorContext.locate>`
+        resolves the request's block to (page, node, DRAM coordinates)
+        first; the MLP-group timing below runs on the flattened kernels with
+        the exact scalar arithmetic, and the page/node access-recording side
+        effects are buffered on the context for the pre-maintenance flush.
         """
         ctx = self._vector
-        begin, end = ctx.bounds[request.request_id]
-        local_flags, row_device, offset = ctx.window_flags(begin, end)
+        begin, end = ctx.locate(request.request_id)
+        local_flags, row_device = ctx.local_flags, ctx.row_device
         lch, lfb, lrow = ctx.lch, ctx.lfb, ctx.lrow
         cch, cfb, crow = ctx.cch, ctx.cfb, ctx.crow
         dram_access = ctx.local_access[host_id % ctx.num_local_drams]
@@ -680,12 +687,12 @@ class SLSSystem(ABC):
                 group_end = end
             group_finish = cursor
             for k in range(index, group_end):
-                if local_flags[k - offset]:
+                if local_flags[k]:
                     local_rows += 1
                     finish = dram_access(lch[k], lfb[k], lrow[k], cursor) + local_overhead
                 else:
                     cxl_rows += 1
-                    device_id = row_device[k - offset]
+                    device_id = row_device[k]
                     finish = (
                         host_reads[device_switch[device_id]](
                             dev_access[device_id], cch[k], cfb[k], crow[k], cursor

@@ -5,12 +5,16 @@ stack (tiered page table → device models → switch/link objects), costing
 dozens of Python calls per row.  The vectorized engine keeps the *scalar
 path as the oracle* and restructures the work in two stages:
 
-1. **Batched resolution** — before each dispatch unit is timed (a replay
-   window, or a served batch) its requests' addresses are concatenated and
-   resolved with a handful of numpy passes: page ids, DRAM coordinates
-   under both the local-DDR5 and the CXL-DDR4 mappings, and — per
-   placement generation — the page → node gather through
-   :meth:`~repro.memsys.tiered.TieredMemorySystem.node_id_table`.
+1. **Blockwise resolution** — each dispatch unit (a replay window, or a
+   served batch) is taken as one int64 address column right before it is
+   timed, and resolved one block at a time as its requests are timed.  A
+   block covers at most :attr:`VectorContext.NODE_WINDOW` positions (or
+   one longer request) and is decoded with a handful of numpy passes: page
+   ids and DRAM coordinates under both the local-DDR5 and the CXL-DDR4
+   mappings.  The page → node gather through
+   :meth:`~repro.memsys.tiered.TieredMemorySystem.node_id_table` runs
+   over the part of the block about to be timed, again whenever the
+   placement generation changes.  Only the block is held as Python lists.
 2. **Flattened timing kernels** — the stateful per-access arithmetic runs
    through the layer kernels (:class:`~repro.dram.device.DRAMKernel`,
    :class:`~repro.cxl.device.CXLDeviceKernel`,
@@ -18,6 +22,10 @@ path as the oracle* and restructures the work in two stages:
    :class:`~repro.pifs.switch.PIFSSwitchKernel`), closures over plain local
    state that perform exactly the scalar arithmetic in the same order, so
    every finish time is bit-identical to the scalar engine.
+
+A context lives for one session: the engine builds it in ``begin_session``
+and drops it in ``finish_session`` once its kernels are synced back into
+the device models, so a finished system holds no resolution state.
 
 Access-counter side effects (the page count column and the per-node
 counters that feed the page-management policies) are buffered as a list
@@ -48,10 +56,16 @@ class VectorUnsupportedError(RuntimeError):
 
 
 class VectorContext:
-    """Per-session timing kernels plus the resolution arrays of one dispatch unit.
+    """Per-session timing kernels plus the resolved block of one dispatch unit.
 
-    Construction builds the kernels and resolves nothing; the engine calls
-    :meth:`load_window` with every dispatch unit before timing it.
+    Construction builds the kernels and resolves nothing.  The engine calls
+    :meth:`load_window` with every dispatch unit before timing it, and each
+    request path calls :meth:`locate` for its positions in the resolved
+    block.  The block lists — ``addr``, ``page``, the local and CXL DRAM
+    coordinates ``lch``/``lfb``/``lrow`` and ``cch``/``cfb``/``crow``, and
+    the placement columns ``local_flags``/``row_device`` — never cover more
+    than :attr:`NODE_WINDOW` positions or one request, whichever is longer.
+    A context lives for one session.
     """
 
     def __init__(self, system) -> None:
@@ -60,14 +74,13 @@ class VectorContext:
         backends = system.backends
         self.backends = backends
         self.row_bytes = backends.row_bytes
+        self._local_mapping = backends.local_dram.controller.mapping
+        self._cxl_mapping = backends.devices[0].dram.controller.mapping
 
-        # Placement tables (node id -> tier / device) and the lazily
-        # re-gathered page -> node window with its precomputed splits.
+        # Placement tables (node id -> tier / device) for the block gather.
         is_local, node_device = placement_arrays(self.tiered.nodes(), system.node_to_device)
         self._node_is_local_np = is_local
         self._node_device_np = node_device
-        self.node_is_local: List[bool] = is_local.tolist()
-        self.node_device: List[int] = node_device.tolist()
 
         # ------------------------------------------------------------------
         # Stage 2: flattened timing kernels over the backend state.
@@ -103,7 +116,9 @@ class VectorContext:
         self.forward_ns: List[float] = [
             type(switch).FORWARD_LATENCY_NS for switch in backends.switches
         ]
-        self._port_kernels = [
+        # The kernels' bound closures as flat lists, indexed by host, device
+        # and switch id.  They stay valid until the session's final sync.
+        port_kernels = [
             [
                 self.switch_kernels[switch_id].port_kernel(
                     backends.host_ports[(host_id, switch_id)]
@@ -112,6 +127,12 @@ class VectorContext:
             ]
             for host_id in range(num_hosts)
         ]
+        self.local_access = [kernel.access for kernel in self.local_dram_kernels]
+        self.dev_access_host = [kernel.access_host for kernel in self.device_kernels]
+        self.dev_access_switch = [kernel.access_switch for kernel in self.device_kernels]
+        self.port_host_read = [[port.host_read for port in ports] for ports in port_kernels]
+        self.port_transfer = [[port.transfer for port in ports] for ports in port_kernels]
+        self.port_stream = [[port.transfer_stream for port in ports] for ports in port_kernels]
         #: Extra per-system kernels registered via ``prepare_vector`` (e.g.
         #: RecNMP's rank cache); synced together with the layer kernels.
         self.extra_kernels: List = []
@@ -121,95 +142,100 @@ class VectorContext:
         # (a C-level list append) and the counting happens once per flush.
         self.pending_pages: List[int] = []
 
-        self._bind_closures()
+        # No unit yet: an empty column and empty block lists.
+        self._addresses = np.zeros(0, dtype=np.int64)
+        self._spans: Dict[int, Tuple[int, int]] = {}
+        self._decode_block(0, 0)
+        self._forget_block()
         system.prepare_vector(self)
 
     # ------------------------------------------------------------------
-    # Stage-1 resolution (one dispatch unit)
+    # Stage-1 resolution (one dispatch unit, one block at a time)
     # ------------------------------------------------------------------
     def load_window(self, requests: List) -> None:
-        """Resolve the stage-1 arrays over ``requests``, the next dispatch unit.
+        """Take ``requests``, the next dispatch unit, as one address column.
 
         The closed-loop replay passes each workload window (an eager
         workload is one window); the serve loop passes each batch it is
-        about to time.  ``bounds`` maps every request id of the unit to its
-        ``(begin, end)`` positions in the arrays, so ids may be global and
-        have gaps (fleet shard views, a host's batch).  Kernel state and the
-        buffered access counters are left untouched — they are cumulative
-        across units, exactly like the scalar engine's device state, so
-        every finish time is independent of how the trace is cut.
+        about to time.  Nothing is decoded here: the context keeps the
+        unit's int64 address column and every request's ``(begin, end)``
+        span in it, keyed by request id, so ids may be global and have gaps
+        (fleet shard views, a host's batch); :meth:`locate` resolves the
+        column block by block.  Kernel state and the buffered access
+        counters are left untouched — they are cumulative across units,
+        exactly like the scalar engine's device state, so every finish time
+        is independent of how the trace is cut.
         """
         if requests:
             addresses = np.concatenate([request.addresses for request in requests])
         else:
             addresses = np.zeros(0, dtype=np.int64)
-        addresses = addresses.astype(np.int64, copy=False)
+        self._addresses = addresses.astype(np.int64, copy=False)
         lengths = np.fromiter(
             (len(request.addresses) for request in requests), dtype=np.int64, count=len(requests)
         )
         ends = np.cumsum(lengths)
-        self.bounds: Dict[int, Tuple[int, int]] = dict(zip(
+        self._spans = dict(zip(
             [request.request_id for request in requests],
             zip((ends - lengths).tolist(), ends.tolist()),
         ))
+        self._forget_block()
 
-        self.addr: List[int] = addresses.tolist()
-        self._page_np = addresses // PAGE_SIZE_BYTES
-        self.page: List[int] = self._page_np.tolist()
+    def _forget_block(self) -> None:
+        """Mark no block decoded and no node window gathered.
 
-        backends = self.backends
-        local_mapping = backends.local_dram.controller.mapping
-        lch, lfb, lrow = local_mapping.decode_flat_batch(addresses)
-        self.lch, self.lfb, self.lrow = lch.tolist(), lfb.tolist(), lrow.tolist()
-        cxl_mapping = backends.devices[0].dram.controller.mapping
-        cch, cfb, crow = cxl_mapping.decode_flat_batch(addresses)
-        self.cch, self.cfb, self.crow = cch.tolist(), cfb.tolist(), crow.tolist()
-
-        # Invalidate the node-window gather cache: positions are relative
-        # to this unit's arrays.
-        self._window_local: List[bool] = []
-        self._window_device: List[int] = []
-        self._local_pos: List[int] = []
-        self._remote_pos: List[int] = []
-        self._remote_dev: List[int] = []
-        self._remote_sw: List[int] = []
+        The next :meth:`locate` decodes a block and replaces the lists,
+        which until then hold at most one block of the previous unit.
+        """
+        self._block_start = 0
+        self._block_end = 0
         self._window_start = 0
         self._window_end = 0
         self._node_generation = -1
         self._generation_start = 0
 
-    # ------------------------------------------------------------------
-    # Resolution accessors
-    # ------------------------------------------------------------------
-    #: Largest node-window gather (lookups, not bytes): large enough to
-    #: amortize the numpy gather.  A gather that follows a placement change
-    #: is sized to about twice what the previous placement generation
-    #: consumed, so the frequent migration epochs of the page-managed
-    #: systems re-gather about what they will use; a gather after the
-    #: window ran out (every gather of a system that never migrates) takes
-    #: the whole window.
+    #: Positions one block decodes, and the largest node gather (lookups,
+    #: not bytes): large enough to amortize the numpy passes.  A gather
+    #: that follows a placement change is sized to about twice what the
+    #: previous placement generation consumed, so the frequent migration
+    #: epochs of the page-managed systems re-gather about what they will
+    #: use; a gather after the window ran out (every gather of a system
+    #: that never migrates) takes the whole window.
     NODE_WINDOW = 8192
 
-    def _ensure_window(self, begin: int, end: int) -> None:
-        """Make the cached window cover positions ``[begin, end)``.
+    def locate(self, request_id: int) -> Tuple[int, int]:
+        """Block positions ``(begin, end)`` of a request of the current unit.
 
-        The window is re-gathered through the node column when the
-        placement generation changes or the request leaves the cached range;
-        the closed-loop replay consumes positions in order, so each epoch
-        re-gathers about what it consumes (see :attr:`NODE_WINDOW`).  One
-        rebuild derives, with a handful of numpy passes, everything the
-        request paths consume per row: the local/CXL flags, the owning
-        device per position, and the position-sorted local/remote split with
-        its device and switch columns (so per-request splits are C-level
-        list slices instead of per-row Python branching).
+        The positions index the block lists and :meth:`split` until the
+        next call.  The request must lie in the node window, the span of
+        the decoded block whose placement was gathered under the current
+        generation; otherwise :meth:`_ensure_window` gathers a new one
+        first.
+        """
+        begin, end = self._spans[request_id]
+        if (
+            self.tiered.generation != self._node_generation
+            or begin < self._window_start
+            or end > self._window_end
+        ):
+            self._ensure_window(begin, end)
+        start = self._block_start
+        return begin - start, end - start
+
+    def _ensure_window(self, begin: int, end: int) -> None:
+        """Gather a node window that covers unit positions ``[begin, end)``.
+
+        :meth:`locate` calls it when the generation changed or the request
+        left the window; the closed-loop replay consumes positions in
+        order, so each epoch re-gathers about what it consumes (see
+        :attr:`NODE_WINDOW`).  A window that would leave the decoded block
+        decodes a new block from ``begin`` first.  One gather derives, with
+        a handful of numpy passes, the local/CXL flags and the owning
+        device per position, and the position-sorted local/remote split
+        with its device and switch columns (so per-request splits are
+        C-level list slices instead of per-row Python branching).
         """
         generation = self.tiered.generation
-        if (
-            generation == self._node_generation
-            and begin >= self._window_start
-            and end <= self._window_end
-        ):
-            return
         block = self.NODE_WINDOW
         if generation != self._node_generation:
             # After a placement change (not a new dispatch unit), gather
@@ -218,17 +244,19 @@ class VectorContext:
             if self._node_generation >= 0 and consumed >= 0:
                 block = min(block, 2 * consumed)
             self._generation_start = begin
-        stop = min(begin + max(block, end - begin), len(self.page))
-        table = self.tiered.node_id_table()
-        window_np = table[self._page_np[begin:stop]]
-        local_mask = self._node_is_local_np[window_np]
-        self._window_local = local_mask.tolist()
-        device_np = self._node_device_np[window_np]
-        self._window_device = device_np.tolist()
-        local_idx = np.nonzero(local_mask)[0]
+        stop = min(begin + max(block, end - begin), len(self._addresses))
+        if begin < self._block_start or stop > self._block_end:
+            self._decode_block(begin, end)
+        lo = begin - self._block_start
+        hi = stop - self._block_start
+        nodes = self.tiered.node_id_table()[self._block_pages[lo:hi]]
+        local_mask = self._node_is_local_np[nodes]
+        device_np = self._node_device_np[nodes]
+        self.local_flags[lo:hi] = local_mask.tolist()
+        self.row_device[lo:hi] = device_np.tolist()
+        self._local_pos = (np.nonzero(local_mask)[0] + lo).tolist()
         remote_idx = np.nonzero(~local_mask)[0]
-        self._local_pos = (local_idx + begin).tolist()
-        self._remote_pos = (remote_idx + begin).tolist()
+        self._remote_pos = (remote_idx + lo).tolist()
         remote_devs = device_np[remote_idx]
         self._remote_dev = remote_devs.tolist()
         self._remote_sw = self._device_switch_np[remote_devs].tolist()
@@ -236,28 +264,38 @@ class VectorContext:
         self._window_end = stop
         self._node_generation = generation
 
-    def window_flags(self, begin: int, end: int) -> Tuple[List[bool], List[int], int]:
-        """Per-position ``(local_flags, device_ids, offset)`` for ``[begin, end)``.
+    def _decode_block(self, begin: int, end: int) -> None:
+        """Decode and list unit positions from ``begin`` as the new block.
 
-        ``local_flags[k - offset]`` is True when position ``k`` resolves to
-        local DRAM; ``device_ids[k - offset]`` is the owning CXL device id
-        (-1 for local rows).  For request paths that walk rows in original
-        order (the MLP-grouped host accumulation).
+        The block is :attr:`NODE_WINDOW` positions, or ``[begin, end)`` if
+        that is longer, cut at the unit's end: its addresses, page ids and
+        DRAM coordinates under both mappings.  The placement columns are
+        filled by the node gathers.
         """
-        self._ensure_window(begin, end)
-        return self._window_local, self._window_device, self._window_start
+        stop = min(begin + max(self.NODE_WINDOW, end - begin), len(self._addresses))
+        addresses = self._addresses[begin:stop]
+        self._block_pages = addresses // PAGE_SIZE_BYTES
+        self.addr = addresses.tolist()
+        self.page = self._block_pages.tolist()
+        lch, lfb, lrow = self._local_mapping.decode_flat_batch(addresses)
+        self.lch, self.lfb, self.lrow = lch.tolist(), lfb.tolist(), lrow.tolist()
+        cch, cfb, crow = self._cxl_mapping.decode_flat_batch(addresses)
+        self.cch, self.cfb, self.crow = cch.tolist(), cfb.tolist(), crow.tolist()
+        self.local_flags = [False] * (stop - begin)
+        self.row_device = [-1] * (stop - begin)
+        self._block_start = begin
+        self._block_end = stop
 
     def split(self, begin: int, end: int) -> Tuple[List[int], List[int], List[int], List[int]]:
-        """Local/remote split of positions ``[begin, end)``.
+        """Local/remote split of block positions ``[begin, end)`` from :meth:`locate`.
 
         Returns ``(local_ks, remote_ks, remote_devices, remote_switches)``:
-        the resolved positions that live in local DRAM, those that live in
+        the block positions that live in local DRAM, those that live in
         the CXL pool, and — aligned with ``remote_ks`` — the owning device
-        and switch ids.  All four are slices of window-level arrays computed
-        with numpy at the last re-gather, so a request's split costs two
+        and switch ids.  All four are slices of block-level lists computed
+        with numpy at the last gather, so a request's split costs two
         binary searches and four list slices.
         """
-        self._ensure_window(begin, end)
         local_pos = self._local_pos
         remote_pos = self._remote_pos
         i0 = bisect_left(local_pos, begin)
@@ -272,27 +310,8 @@ class VectorContext:
         )
 
     # ------------------------------------------------------------------
-    # Closure binding / state flushing
+    # State flushing
     # ------------------------------------------------------------------
-    def _bind_closures(self) -> None:
-        """(Re)export the kernels' bound closures as flat lists.
-
-        Kernels re-arm their closures on :meth:`sync`, so the exported lists
-        are refreshed after every full flush.
-        """
-        self.local_access = [kernel.access for kernel in self.local_dram_kernels]
-        self.dev_access_host = [kernel.access_host for kernel in self.device_kernels]
-        self.dev_access_switch = [kernel.access_switch for kernel in self.device_kernels]
-        self.port_host_read = [
-            [port.host_read for port in ports] for ports in self._port_kernels
-        ]
-        self.port_transfer = [
-            [port.transfer for port in ports] for ports in self._port_kernels
-        ]
-        self.port_stream = [
-            [port.transfer_stream for port in ports] for ports in self._port_kernels
-        ]
-
     def flush_tiered(self) -> None:
         """Flush buffered access counts into the page count column and node counters.
 
@@ -308,7 +327,11 @@ class VectorContext:
             self.pending_pages = []
 
     def flush_all(self) -> None:
-        """Flush counters and write every kernel's state back to the models."""
+        """Flush counters and write every kernel's state back to the models.
+
+        The session's last call on the context: the exported closures are
+        not re-armed after the sync, and the engine drops the context.
+        """
         self.flush_tiered()
         for kernel in self.local_dram_kernels:
             kernel.sync()
@@ -318,7 +341,6 @@ class VectorContext:
             kernel.sync()
         for kernel in self.extra_kernels:
             kernel.sync()
-        self._bind_closures()
 
 
 __all__ = ["VectorContext", "VectorUnsupportedError"]

@@ -192,14 +192,19 @@ def _attach_recorder(system) -> TraceRecorder:
 
 
 def _check_vector_context(system, engine: str, streaming: bool, serving: bool) -> None:
-    """The vector engine must actually have engaged (not silently fallen back)."""
+    """The vector engine must actually have engaged (not silently fallen back).
+
+    A context lives for one session, so after the run none is left; a
+    vector session built one exactly when it recorded no fallback reason.
+    """
+    assert system._vector is None, "the vector context outlived its session"
     if engine != "vector" or not getattr(system, "supports_vector_engine", True):
         return
     if serving and streaming:
         # Streaming serve dispatches on the scalar oracle path by design
         # (results are pinned identical to the vector path regardless).
         return
-    assert system._vector is not None, "vector context was not built"
+    assert system._vector_fallback_reason is None, "vector context was not built"
 
 
 def _sweep_variants(spec, *, engines, streaming, observe, execute) -> Dict[str, Any]:

@@ -35,6 +35,7 @@ from repro.memsys.node import MemoryNode, MemoryTier, placement_arrays
 from repro.memsys.tiered import TieredMemorySystem
 from repro.serve.server import ServeConfig, serve
 from repro.sls.engine import ENGINES, SLSSystem
+from repro.sls.vector import VectorContext
 from repro.traces.workload import build_workload
 
 ALL_SYSTEMS = ("pond", "pond+pm", "beacon", "recnmp", "tpp", "pifs-rec", "pifs-rec-nopm")
@@ -272,7 +273,7 @@ class TestEngineKnob:
         assert len(result) == 2
         assert result[0].total_ns == result[1].total_ns
 
-    def test_unsupported_system_falls_back_to_scalar(self, tiny_workload, tiny_system):
+    def test_unsupported_system_falls_back_to_scalar(self, tiny_workload, tiny_system, monkeypatch):
         class Stubborn(SLSSystem):
             name = "stubborn"
 
@@ -283,9 +284,13 @@ class TestEngineKnob:
                 return self.host_accumulate_bag(request.addresses, start_ns, host_id)
 
         assert Stubborn.supports_vector_engine is False
+
+        def no_context(*args, **kwargs):
+            pytest.fail("a VectorContext was built for a scalar-only system")
+
+        monkeypatch.setattr(VectorContext, "__init__", no_context)
         system = Stubborn(tiny_system).set_engine("vector")
         result = system.run(tiny_workload)
-        assert system._vector is None  # no context: scalar path served the run
         reference = Stubborn(tiny_system).run(tiny_workload)
         assert result.to_dict() == reference.to_dict()
 

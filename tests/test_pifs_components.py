@@ -121,6 +121,21 @@ class TestOnSwitchBuffer:
         with pytest.raises(ValueError):
             OnSwitchBuffer(BufferConfig(policy="mru"), 64)
 
+    @pytest.mark.parametrize("policy, capacity", [("none", 0), ("none", 1024), ("lru", 0)])
+    def test_disabled_kernel_counts_misses_in_bulk(self, policy, capacity):
+        """``miss(n)`` leaves a disabled buffer as ``n`` scalar lookups do."""
+        scalar = self._buffer(policy=policy, capacity=capacity)
+        batched = self._buffer(policy=policy, capacity=capacity)
+        kernel = batched.batch_kernel()
+        assert kernel.disabled
+        for address in (0x0, 0x40, 0x0):
+            assert scalar.lookup(address) is False
+        kernel.miss(3)
+        kernel.sync()
+        for buffer in (scalar, batched):
+            assert (buffer.hits, buffer.misses, buffer._accesses_since_curate) == (0, 3, 3)
+        assert not self._buffer(policy="lru").batch_kernel().disabled
+
     def test_occupancy_never_exceeds_capacity(self):
         buf = self._buffer(policy="lru", capacity=256, row_bytes=64)
         for i in range(100):

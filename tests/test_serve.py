@@ -397,6 +397,25 @@ class TestSLASweep:
         with pytest.raises(ValueError, match=message):
             sweep_session().sla_sweep(6e4, (5e4, 4e6), **knobs)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"grid_points": 0}, "grid_points must be >= 2"),
+            ({"refine_iters": -1}, "refine_iters must be >= 0"),
+        ],
+    )
+    def test_parallel_sweep_rejects_search_knobs_before_starting_workers(
+        self, knobs, message, monkeypatch
+    ):
+        import repro.api.sweep
+
+        def no_pool():
+            pytest.fail("the worker pool was touched before the knobs were checked")
+
+        monkeypatch.setattr(repro.api.sweep, "worker_pool", no_pool)
+        with pytest.raises(ValueError, match=message):
+            sweep_session().sla_sweep(6e4, (5e4, 4e6), parallel=True, **knobs)
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -557,7 +576,7 @@ class TestVectorServeDispatch:
         monkeypatch.setattr(SLSSystem, "service_batch_vector", spy)
         system = create_system("pifs-rec", tiny_system).set_engine("vector")
         result = serve(system, tiny_workload, ServeConfig(qps=2e5))
-        assert system._vector is not None
+        assert system._vector_fallback_reason is None
         assert calls, "vector serve did not dispatch through service_batch_vector"
         assert sum(calls) == len(tiny_workload.requests)
         assert result.requests == len(tiny_workload.requests)
@@ -601,16 +620,35 @@ class TestVectorServeDispatch:
             expected.append(cursor)
         assert completions == expected
 
-    def test_context_holds_only_the_last_batch_after_serve(self, tiny_workload, tiny_system):
+    def test_context_holds_one_batch_and_none_after_serve(
+        self, tiny_workload, tiny_system, monkeypatch
+    ):
+        """Every dispatched batch is the context's whole unit, and it lists
+        only positions of that batch; the context ends with the session."""
         from repro.api.registry import create_system
+        from repro.sls.engine import SLSSystem
 
         config = ServeConfig(qps=2e5, max_batch_size=4)
+        original = SLSSystem.service_batch_vector
+        served = []
+
+        def spy(self, requests, start_ns, host_id):
+            completions = original(self, requests, start_ns, host_id)
+            context = self._vector
+            assert 0 < len(context._spans) <= config.max_batch_size
+            assert set(context._spans) == {request.request_id for request in requests}
+            addresses = np.concatenate([request.addresses for request in requests]).tolist()
+            start = context._block_start
+            assert 0 < len(context.addr) <= len(addresses)
+            assert context.addr == addresses[start:start + len(context.addr)]
+            served.append(len(requests))
+            return completions
+
+        monkeypatch.setattr(SLSSystem, "service_batch_vector", spy)
         system = create_system("pifs-rec", tiny_system).set_engine("vector")
         serve(system, tiny_workload, config)
-        context = system._vector
-        assert 0 < len(context.bounds) <= config.max_batch_size
-        resolved = [r for r in tiny_workload.requests if r.request_id in context.bounds]
-        assert len(context.page) == sum(r.num_candidates for r in resolved)
+        assert sum(served) == len(tiny_workload.requests)
+        assert system._vector is None
 
     def test_batch_hook_on_a_streamed_session_matches_eager(self, tiny_workload_config, tiny_system):
         """Streamed sessions can dispatch vector batches: same completions and state."""

@@ -8,15 +8,23 @@ costs (~1 GiB at this scale — the eager twin of the big test is therefore
 allocation delta, which numpy array buffers participate in, so a window
 accidentally pinned past its turn (or requests accumulated across
 windows) fails loudly here long before a real trace would OOM a host.
+
+The vector engine's resolution state is bounded the same way: one
+block of lists per dispatch unit while a session runs, and nothing once
+it has finished.
 """
 
 import tracemalloc
 from dataclasses import replace
+from typing import Tuple
 
 import pytest
 
 from repro.api.registry import create_system
+from repro.api.session import Simulation
 from repro.config import DEFAULT_SYSTEM, RMC1, WorkloadConfig, scaled_model
+from repro.fleet.executor import Fleet
+from repro.sls.vector import VectorContext
 from repro.traces.workload import build_workload
 
 MiB = 2**20
@@ -38,16 +46,27 @@ BIG_REQUESTS = 3907 * 64 * 4
 BIG_BUDGET_BYTES = 96 * MiB
 
 
-def _peak_delta(consume) -> int:
-    """Peak tracemalloc delta (bytes) over ``consume()``."""
+#: The vector context's per-position lists, all as long as its block.
+BLOCK_LISTS = (
+    "addr", "page", "lch", "lfb", "lrow", "cch", "cfb", "crow", "local_flags", "row_device",
+)
+
+
+def _traced_deltas(consume) -> Tuple[int, int]:
+    """``(peak, held)`` tracemalloc deltas (bytes) over ``consume()``."""
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         consume()
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return peak - base
+    return peak - base, held - base
+
+
+def _peak_delta(consume) -> int:
+    """Peak tracemalloc delta (bytes) over ``consume()``."""
+    return _traced_deltas(consume)[0]
 
 
 @pytest.mark.slow
@@ -106,3 +125,62 @@ def test_streaming_replay_end_to_end_holds_memory_budget():
         f"streaming replay peaked at {peak / MiB:.1f} MiB — the engine is "
         "materializing the trace instead of consuming windows"
     )
+
+
+def _small_machine(model):
+    return replace(
+        DEFAULT_SYSTEM,
+        local_dram_capacity_bytes=max(8192, model.table_bytes),
+        num_cxl_devices=2,
+        host_threads=2,
+    )
+
+
+@pytest.mark.slow
+def test_eager_vector_replay_holds_one_block_and_releases_it(monkeypatch):
+    """An eager vector replay (~440k lookups) resolves one block at a time
+    and keeps no resolution state after ``run``.  Whole-unit lists cost
+    ~90 MiB at the peak and ~64 MiB still held after the run; one block
+    per gather costs ~20 MiB at the peak and ~3 MiB held (page-table,
+    buffer and model state that outlive any session)."""
+    config = replace(BIG_CONFIG, num_batches=98, pooling_factor=16)
+    workload = build_workload(config)
+    system = create_system("pifs-rec", _small_machine(config.model)).set_engine("vector")
+
+    longest_list = 0
+    ensure_window = VectorContext._ensure_window
+
+    def measured(self, begin, end):
+        nonlocal longest_list
+        ensure_window(self, begin, end)
+        longest_list = max(longest_list, *(len(getattr(self, name)) for name in BLOCK_LISTS))
+
+    monkeypatch.setattr(VectorContext, "_ensure_window", measured)
+    results = {}
+
+    def consume():
+        results["run"] = system.run(workload)
+
+    peak, held = _traced_deltas(consume)
+    assert results["run"].lookups == workload.total_lookups > 400_000
+    assert peak < 48 * MiB, (
+        f"eager vector replay peaked at {peak / MiB:.1f} MiB — resolution "
+        "lists cover more than one block"
+    )
+    assert held < 16 * MiB, (
+        f"{held / MiB:.1f} MiB still held after run — the session's vector "
+        "context outlived it"
+    )
+    assert system._vector is None and system._vector_fallback_reason is None
+    longest_request = max(request.num_candidates for request in workload.requests)
+    assert 0 < longest_list <= max(VectorContext.NODE_WINDOW, longest_request)
+
+
+def test_fleet_shards_hold_no_vector_context():
+    spec = Simulation("pifs-rec").quick().num_batches(2).engine("vector").fleet(4).spec()
+    fleet = Fleet(spec)
+    fleet.run(workers=0)
+    assert len(fleet.systems) == 4
+    for system in fleet.systems:
+        assert system._vector is None
+        assert system._vector_fallback_reason is None
