@@ -376,10 +376,6 @@ def workload_key(spec: RunSpec) -> Optional[str]:
         return None
 
 
-#: Backwards-compatible private alias (pre-existing internal name).
-_workload_key = workload_key
-
-
 def build_workload(spec: RunSpec):
     """Build (or reuse) the seeded SLS workload for a spec.
 
@@ -836,7 +832,7 @@ class Simulation:
     ) -> "Simulation":
         """Partition the run across ``shards`` per-rack systems.
 
-        Each shard is a full :class:`~repro.sls.system.SLSSystem` (its
+        Each shard is a full :class:`~repro.sls.engine.SLSSystem` (its
         own fabric and table shard of the partitioned address space)
         replaying the slice of the workload the ``router`` policy
         assigns to it — see :mod:`repro.fleet`.  ``shards=0`` restores

@@ -9,8 +9,9 @@ p50..p99.9, per-shard breakdowns).  The moving parts:
 * :mod:`repro.fleet.router` — routing policies (``hash``,
   ``power-of-two-choices``, ``table-affinity``) and the table partition.
 * :mod:`repro.fleet.shard` — :class:`~repro.fleet.shard.ShardWorkload`,
-  one shard's filtered view over a shared (optionally streaming)
-  workload with global request ids and O(window) residency.
+  one shard's view over a shared (eager or streamed) workload: its
+  bags masked per window, with global request ids and O(window)
+  residency.
 * :mod:`repro.fleet.executor` — :class:`~repro.fleet.executor.Fleet`,
   executing shards serially or across the persistent worker pool.
 * :mod:`repro.fleet.result` — per-shard + combined aggregates with JSON

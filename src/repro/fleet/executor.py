@@ -1,7 +1,7 @@
 """Fleet execution: N per-rack systems replaying shard views of one trace.
 
 :class:`Fleet` composes ``fleet_shards`` independent
-:class:`~repro.sls.system.SLSSystem` instances — one per rack, each with
+:class:`~repro.sls.engine.SLSSystem` instances — one per rack, each with
 its own fabric and its shard of the partitioned table space — behind one
 :class:`~repro.fleet.router.Router`.  Shards are embarrassingly
 parallel, so execution generalizes the sweep engine's chunking from grid

@@ -11,17 +11,17 @@ performance from the same entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import ModelConfig, SystemConfig, WorkloadConfig, DEFAULT_SYSTEM
 from repro.dlrm.embedding import EmbeddingTable
-from repro.memsys.address_space import AddressSpace
 from repro.pifs.system import PIFSRecSystem
 from repro.sls.result import SimResult
-from repro.traces.workload import SLSRequest, SLSWorkload
+from repro.traces.meta import TraceBatch
+from repro.traces.workload import SLSWorkload, workload_from_batches
 
 
 @dataclass
@@ -159,50 +159,41 @@ class PIFSRuntime:
         indices_per_table: Sequence[Sequence[int]],
         offsets_per_table: Sequence[Sequence[int]],
     ) -> SimResult:
-        model = self._model_config()
-        space = AddressSpace.for_model(model)
-        row_bytes = model.embedding_row_bytes
-        requests: List[SLSRequest] = []
-        request_id = 0
-        batch_size = 0
-        for handle, indices, offsets in zip(table_handles, indices_per_table, offsets_per_table):
-            idx = np.asarray(indices, dtype=np.int64)
-            offs = np.asarray(offsets, dtype=np.int64)
-            batch_size = max(batch_size, len(offs))
-            bounds = np.concatenate([offs, [len(idx)]])
-            for sample in range(len(offs)):
-                rows = idx[int(bounds[sample]) : int(bounds[sample + 1])]
-                if len(rows) == 0:
-                    continue
-                addresses = np.array(
-                    [space.row_address(handle, int(r)) for r in rows], dtype=np.int64
-                )
-                requests.append(
-                    SLSRequest(
-                        request_id=request_id,
-                        host_id=0,
-                        table=handle,
-                        sample=sample,
-                        rows=rows,
-                        addresses=addresses,
-                        row_bytes=row_bytes,
-                    )
-                )
-                request_id += 1
-        workload = SLSWorkload(
-            model=model,
-            address_space=space,
-            requests=requests,
-            batch_size=batch_size,
-            num_batches=1,
-            distribution="user",
-        )
+        workload = self._workload(table_handles, indices_per_table, offsets_per_table)
         system_config = self.system
-        if self.local_capacity_fraction is not None:
-            capacity = max(2 * 4096, int(space.total_bytes * self.local_capacity_fraction))
+        fraction = self.local_capacity_fraction
+        if fraction is not None:
+            capacity = max(2 * 4096, int(workload.working_set_bytes * fraction))
             system_config = replace(system_config, local_dram_capacity_bytes=capacity)
-        system = PIFSRecSystem(system_config)
-        return system.run(workload)
+        return PIFSRecSystem(system_config).run(workload)
+
+    def _workload(
+        self,
+        table_handles: Sequence[int],
+        indices_per_table: Sequence[Sequence[int]],
+        offsets_per_table: Sequence[Sequence[int]],
+    ) -> SLSWorkload:
+        """The call's bags as a workload over every registered table."""
+        model = self._model_config()
+        # One batch per (handle, indices, offsets) triple, in call order, with
+        # the handle's table filled and every other table empty: handles may
+        # come in any order and repeat.
+        empty = np.zeros(0, dtype=np.int64)
+        batches = []
+        for handle, indices, offsets in zip(table_handles, indices_per_table, offsets_per_table):
+            if not 0 <= handle < model.num_tables:
+                raise ValueError(f"table {handle} out of range [0, {model.num_tables})")
+            batch = TraceBatch([empty] * model.num_tables, [empty] * model.num_tables)
+            batch.indices_per_table[handle] = np.asarray(indices, dtype=np.int64)
+            batch.offsets_per_table[handle] = np.asarray(offsets, dtype=np.int64)
+            batches.append(batch)
+        return workload_from_batches(
+            batches,
+            model,
+            distribution="user",
+            batch_size=max(batch.batch_size for batch in batches),
+            num_batches=1,
+        )
 
 
 __all__ = ["PIFSRuntime", "SLSCallResult"]

@@ -25,17 +25,17 @@ picklable (they ship to sweep workers) and JSON round-trippable.
 from __future__ import annotations
 
 import pathlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type
 
+import numpy as np
+
 from repro.config import MODEL_CONFIGS, ModelConfig, WorkloadConfig
-from repro.memsys.address_space import AddressSpace
 from repro.traces.drift import build_drifting_workload
 from repro.traces.files import workload_from_trace
-from repro.traces.meta import generate_meta_like_trace
-from repro.traces.stream import DEFAULT_WINDOW_BATCHES
+from repro.traces.meta import TraceBatch, generate_meta_like_trace
 from repro.traces.synthetic import TraceDistribution
-from repro.traces.workload import SLSRequest, SLSWorkload, WindowBags
+from repro.traces.workload import SLSWorkload, workload_from_batches
 
 
 def resolve_model(spec) -> ModelConfig:
@@ -60,17 +60,15 @@ class TraceFileWorkload:
     """Serve the session from a trace file instead of a generator.
 
     ``hex_indices`` applies to Criteo-style TSVs whose hashed categorical
-    ids are hexadecimal.  ``streaming=True`` (or a session built with
-    ``Simulation.stream()``) replays the file out-of-core: only the active
-    ``window_batches`` window of requests is resident at a time, and the
-    replayed schedule is bit-identical to the eager load.
+    ids are hexadecimal.  A session built with ``Simulation.stream()``
+    replays the file out-of-core: only the active window of requests is
+    resident at a time, and the replayed schedule is bit-identical to the
+    eager load.
     """
 
     path: str
     format: Optional[str] = None
     hex_indices: bool = False
-    streaming: bool = False
-    window_batches: int = DEFAULT_WINDOW_BATCHES
 
     kind = "trace-file"
 
@@ -90,10 +88,7 @@ class TraceFileWorkload:
             fingerprint: tuple = (stat.st_mtime_ns, stat.st_size)
         except OSError:
             fingerprint = ("missing",)
-        return (
-            "trace-file", self.path, self.format, self.hex_indices,
-            self.streaming, self.window_batches,
-        ) + fingerprint
+        return ("trace-file", self.path, self.format, self.hex_indices) + fingerprint
 
     def build(self, spec) -> SLSWorkload:
         batch_size, _, _ = _resolved(spec)
@@ -104,8 +99,7 @@ class TraceFileWorkload:
             batch_size=batch_size,
             hex_indices=self.hex_indices,
             num_hosts=spec.num_hosts,
-            streaming=self.streaming or bool(getattr(spec, "stream", False)),
-            window_batches=self.window_batches,
+            streaming=bool(getattr(spec, "stream", False)),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -245,66 +239,60 @@ class MultiTenantWorkload:
                 f"({' + '.join(f'{t.name}:{t.hosts}' for t in self.tenants)}) but the "
                 f"session is configured for {num_hosts}; set .hosts({self.total_hosts})"
             )
+        batch_size, num_batches, _ = _resolved(spec)
+        return workload_from_batches(
+            self.batches(spec),
+            self.combined_model(spec),
+            distribution="multi-tenant",
+            batch_size=max(t.batch_size or batch_size for t in self.tenants),
+            num_batches=max(t.num_batches or num_batches for t in self.tenants),
+            num_hosts=num_hosts,
+        )
+
+    def batches(self, spec) -> List[TraceBatch]:
+        """Every tenant's batches in the combined table space, interleaved.
+
+        Tenant ``i``'s batches come from its own deterministic seed stream;
+        its tables move to its range of the combined tables (the other
+        tenants' tables stay empty in its batches) and each batch carries
+        the tenant's host range.  Batches interleave by batch index (batch
+        0 of every tenant, then batch 1, ...) so tenants contend from the
+        first tick.
+        """
         scale = spec.scale
         batch_size, num_batches, pooling = _resolved(spec)
-        combined = self.combined_model(spec)
-        space = AddressSpace.for_model(combined)
-        row_bytes = combined.embedding_row_bytes
-
-        # Per-tenant batches, each from its own deterministic seed stream.
-        tenant_models = [scale.model(t.model.upper()) for t in self.tenants]
-        tenant_batches = []
+        num_tables = self.combined_model(spec).num_tables
+        empty = np.zeros(0, dtype=np.int64)
+        per_tenant: List[List[TraceBatch]] = []
+        first_table = first_host = 0
         for index, tenant in enumerate(self.tenants):
+            model = scale.model(tenant.model.upper())
             config = WorkloadConfig(
-                model=tenant_models[index],
+                model=model,
                 batch_size=tenant.batch_size or batch_size,
                 pooling_factor=tenant.pooling_factor or pooling,
                 num_batches=tenant.num_batches or num_batches,
                 distribution=tenant.distribution,
                 seed=scale.seed + 1_000_003 * (index + 1),
             )
-            tenant_batches.append(
-                generate_meta_like_trace(
-                    config, distribution=TraceDistribution.from_name(tenant.distribution)
-                )
-            )
-
-        # Table and host ranges per tenant (disjoint, in tenant order).
-        table_offsets: List[int] = []
-        host_offsets: List[int] = []
-        table_cursor = host_cursor = 0
-        for index, tenant in enumerate(self.tenants):
-            table_offsets.append(table_cursor)
-            host_offsets.append(host_cursor)
-            table_cursor += tenant_models[index].num_tables
-            host_cursor += tenant.hosts
-
-        # Interleave by batch index so tenants contend from the first tick.
-        # Each batch's bags follow the one bag rule, then move to the
-        # tenant's tables and host range in the combined space.
-        requests: List[SLSRequest] = []
-        rounds = max(len(batches) for batches in tenant_batches)
-        for round_index in range(rounds):
-            for index, tenant in enumerate(self.tenants):
-                batches = tenant_batches[index]
-                if round_index >= len(batches):
-                    continue
-                bags = WindowBags.of([batches[round_index]], len(requests), 0, tenant.hosts)
-                bags = replace(
-                    bags,
-                    table=bags.table + table_offsets[index],
-                    host=bags.host + host_offsets[index],
-                )
-                requests.extend(bags.requests(space, row_bytes))
-        return SLSWorkload(
-            model=combined,
-            address_space=space,
-            requests=requests,
-            batch_size=max(t.batch_size or batch_size for t in self.tenants),
-            num_batches=rounds,
-            distribution="multi-tenant",
-            trace=None,
-        )
+            tables = slice(first_table, first_table + model.num_tables)
+            widened = []
+            for batch in generate_meta_like_trace(
+                config, distribution=TraceDistribution.from_name(tenant.distribution)
+            ):
+                indices, offsets = [empty] * num_tables, [empty] * num_tables
+                indices[tables], offsets[tables] = batch.indices_per_table, batch.offsets_per_table
+                widened.append(TraceBatch(indices, offsets, hosts=(first_host, tenant.hosts)))
+            per_tenant.append(widened)
+            first_table += model.num_tables
+            first_host += tenant.hosts
+        rounds = max(len(batches) for batches in per_tenant)
+        return [
+            batches[round_index]
+            for round_index in range(rounds)
+            for batches in per_tenant
+            if round_index < len(batches)
+        ]
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "tenants": [t.to_dict() for t in self.tenants]}

@@ -197,6 +197,9 @@ def serve(system: SLSSystem, workload: SLSWorkload, config: ServeConfig) -> Serv
                         watermark = deadline
                 while pending and pending[0][0] < watermark:
                     dispatch(heapq.heappop(pending)[3])
+        # The last window's requests are admitted: drop them before the
+        # closing dispatches and the session's count pass.
+        window = None
         for host in range(num_hosts):
             for batch in batchers[host].close():
                 heapq.heappush(pending, (batch.dispatch_ns, batch.host_id, batch.index, batch))

@@ -528,18 +528,25 @@ class SLSSystem(ABC):
     def _local_page_budget(self) -> int:
         return self.system.local_dram_capacity_bytes // PAGE_SIZE_BYTES
 
+    #: Addresses the profiling pass turns into one list of page ids.
+    PROFILE_CHUNK = 8192
+
     def _profile_page_hotness(self, workload: SLSWorkload) -> Counter:
         """Count page accesses across the whole workload (profiling pass).
 
-        One C-level ``Counter.update`` per address array of the workload,
-        in request order.  The counter keeps the scalar loop's counts *and*
-        first-occurrence order (the tie-breaker of ``most_common``), so
-        placements do not depend on how the workload cuts its address
-        arrays.
+        One C-level ``Counter.update`` per chunk of the workload's address
+        arrays, in request order; chunking bounds the page-id list, whose
+        Python ints cost several times the array, while a window's array
+        is as long as the window.  The counter keeps the scalar loop's
+        counts *and* first-occurrence order (the tie-breaker of
+        ``most_common``), so placements do not depend on how the workload
+        cuts its address arrays.
         """
         hotness: Counter = Counter()
         for addresses in workload.iter_address_arrays():
-            hotness.update((addresses // PAGE_SIZE_BYTES).tolist())
+            pages = addresses // PAGE_SIZE_BYTES
+            for lo in range(0, len(pages), self.PROFILE_CHUNK):
+                hotness.update(pages[lo:lo + self.PROFILE_CHUNK].tolist())
         return hotness
 
     def place_capacity_order(

@@ -143,9 +143,10 @@ class VectorContext:
         self.pending_pages: List[int] = []
 
         # No unit yet: an empty column and empty block lists.
-        self._addresses = np.zeros(0, dtype=np.int64)
+        self._addresses = self._block_pages = np.zeros(0, dtype=np.int64)
         self._spans: Dict[int, Tuple[int, int]] = {}
-        self._decode_block(0, 0)
+        for name in self.DECODED_LISTS + ("local_flags", "row_device"):
+            setattr(self, name, [])
         self._forget_block()
         system.prepare_vector(self)
 
@@ -264,23 +265,40 @@ class VectorContext:
         self._window_end = stop
         self._node_generation = generation
 
+    #: The block lists decoded from the unit's addresses, in decode order.
+    DECODED_LISTS = ("addr", "page", "lch", "lfb", "lrow", "cch", "cfb", "crow")
+
     def _decode_block(self, begin: int, end: int) -> None:
-        """Decode and list unit positions from ``begin`` as the new block.
+        """Make unit positions from ``begin`` the new block.
 
         The block is :attr:`NODE_WINDOW` positions, or ``[begin, end)`` if
         that is longer, cut at the unit's end: its addresses, page ids and
-        DRAM coordinates under both mappings.  The placement columns are
-        filled by the node gathers.
+        DRAM coordinates under both mappings.  The old block's tail from
+        ``begin`` is already decoded and carries over, so each position of
+        a unit is decoded once.  The placement columns are filled by the
+        node gathers.
         """
         stop = min(begin + max(self.NODE_WINDOW, end - begin), len(self._addresses))
-        addresses = self._addresses[begin:stop]
-        self._block_pages = addresses // PAGE_SIZE_BYTES
-        self.addr = addresses.tolist()
-        self.page = self._block_pages.tolist()
-        lch, lfb, lrow = self._local_mapping.decode_flat_batch(addresses)
-        self.lch, self.lfb, self.lrow = lch.tolist(), lfb.tolist(), lrow.tolist()
-        cch, cfb, crow = self._cxl_mapping.decode_flat_batch(addresses)
-        self.cch, self.cfb, self.crow = cch.tolist(), cfb.tolist(), crow.tolist()
+        lo = begin - self._block_start
+        kept = max(0, self._block_end - begin) if lo >= 0 else 0
+        addresses = self._addresses[begin + kept:stop]
+        pages = addresses // PAGE_SIZE_BYTES
+        decoded = (
+            addresses, pages,
+            *self._local_mapping.decode_flat_batch(addresses),
+            *self._cxl_mapping.decode_flat_batch(addresses),
+        )
+        if kept:
+            tail = slice(lo, lo + kept)
+            self._block_pages = np.concatenate([self._block_pages[tail], pages])
+            for name, column in zip(self.DECODED_LISTS, decoded):
+                setattr(self, name, getattr(self, name)[tail] + column.tolist())
+        else:
+            # Nothing to carry: skip the list copies (most blocks, and every
+            # serve batch, start past the old block).
+            self._block_pages = pages
+            for name, column in zip(self.DECODED_LISTS, decoded):
+                setattr(self, name, column.tolist())
         self.local_flags = [False] * (stop - begin)
         self.row_device = [-1] * (stop - begin)
         self._block_start = begin

@@ -34,6 +34,7 @@ from repro.traces.workload import (
     SLSRequest,
     SLSWorkload,
     StreamingWorkload,
+    Workload,
     build_workload,
     workload_from_batches,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "generate_indices",
     "SLSRequest",
     "SLSWorkload",
+    "Workload",
     "build_workload",
     "workload_from_batches",
     "load_trace",

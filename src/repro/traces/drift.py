@@ -83,7 +83,6 @@ def build_drifting_workload(
     period_batches: int = 2,
     hot_fraction: float = 0.05,
     hot_probability: float = 0.8,
-    host_id: int = 0,
     num_hosts: int = 1,
 ) -> SLSWorkload:
     """Drifting-popularity counterpart of :func:`~repro.traces.workload.build_workload`."""
@@ -99,7 +98,6 @@ def build_drifting_workload(
         distribution=f"drift/{period_batches}",
         batch_size=config.batch_size,
         num_batches=config.num_batches,
-        host_id=host_id,
         num_hosts=num_hosts,
     )
 

@@ -23,7 +23,7 @@ rather than deep inside the simulator.
 from __future__ import annotations
 
 import pathlib
-from typing import List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.traces.stream import (
 from repro.traces.workload import (
     SLSWorkload,
     StreamingWorkload,
+    Workload,
     workload_from_batches,
 )
 
@@ -69,22 +70,21 @@ def trace_format(path: PathLike, format: Optional[str] = None) -> str:
 # ---------------------------------------------------------------------------
 # npz (Meta dlrm_datasets style)
 # ---------------------------------------------------------------------------
-def save_trace(batches: Sequence[TraceBatch], path: PathLike) -> pathlib.Path:
+def save_trace(batches: Iterable[TraceBatch], path: PathLike) -> pathlib.Path:
     """Write ``batches`` to ``path`` as a compressed ``.npz`` archive.
 
     Layout: scalar ``num_batches``/``num_tables`` plus one
     ``batch{i}_table{t}_indices`` / ``..._offsets`` int64 array pair per
-    (batch, table).  :func:`load_trace` restores the exact arrays.
+    (batch, table), and a ``batch{i}_hosts`` pair ``(first_host,
+    host_count)`` for a batch that carries a host range.
+    :func:`load_trace` restores the exact arrays.
     """
-    if not batches:
-        raise ValueError("cannot save an empty trace")
-    num_tables = batches[0].num_tables
-    payload = {
-        "num_batches": np.asarray(len(batches), dtype=np.int64),
-        "num_tables": np.asarray(num_tables, dtype=np.int64),
-    }
+    payload = {}
+    num_tables = num_batches = 0
     for i, batch in enumerate(batches):
-        if batch.num_tables != num_tables:
+        if i == 0:
+            num_tables = batch.num_tables
+        elif batch.num_tables != num_tables:
             raise ValueError(
                 f"batch {i} has {batch.num_tables} tables, expected {num_tables}"
             )
@@ -95,6 +95,13 @@ def save_trace(batches: Sequence[TraceBatch], path: PathLike) -> pathlib.Path:
             payload[f"batch{i}_table{t}_offsets"] = np.asarray(
                 batch.offsets_per_table[t], dtype=np.int64
             )
+        if batch.hosts is not None:
+            payload[f"batch{i}_hosts"] = np.asarray(batch.hosts, dtype=np.int64)
+        num_batches = i + 1
+    if not num_batches:
+        raise ValueError("cannot save an empty trace")
+    payload["num_batches"] = np.asarray(num_batches, dtype=np.int64)
+    payload["num_tables"] = np.asarray(num_tables, dtype=np.int64)
     path = pathlib.Path(path)
     with open(path, "wb") as handle:
         np.savez_compressed(handle, **payload)
@@ -191,23 +198,19 @@ def load_trace_file(
     return load_criteo_tsv(path, batch_size=batch_size, hex_indices=hex_indices)
 
 
-def save_workload_trace(
-    workload: Union[SLSWorkload, StreamingWorkload], path: PathLike
-) -> pathlib.Path:
+def save_workload_trace(workload: Workload, path: PathLike) -> pathlib.Path:
     """Export the trace behind ``workload`` as a lossless ``.npz`` archive.
 
-    Requires the workload to carry its source batches (every workload built
-    through :func:`~repro.traces.workload.workload_from_batches` does, and a
-    streamed workload reads them from its stream: the archive holds every
-    batch either way); re-loading with :func:`workload_from_trace` under the
-    same model and host assignment rebuilds a bit-identical request stream.
+    Requires the workload to hold its source batches: every workload built
+    through :func:`~repro.traces.workload.workload_from_batches` does, and
+    a streamed workload reads them from its stream.  Re-loading with
+    :func:`workload_from_trace` under the same model and host count
+    rebuilds a bit-identical request stream.
     """
-    if workload.streaming:
-        return save_trace(workload.stream.materialize(), path)
     if workload.trace is None:
         raise ValueError(
-            "workload carries no trace batches to export (it was assembled "
-            "directly from requests); only batch-derived workloads round-trip"
+            "workload carries no trace batches to export (a shard view, or "
+            "an eager workload that crossed a pickle boundary)"
         )
     return save_trace(workload.trace, path)
 
@@ -219,7 +222,6 @@ def workload_from_trace(
     format: Optional[str] = None,
     batch_size: int = 8,
     hex_indices: bool = False,
-    host_id: int = 0,
     num_hosts: int = 1,
     distribution: Optional[str] = None,
     streaming: bool = False,
@@ -246,7 +248,6 @@ def workload_from_trace(
             stream,
             model,
             distribution=label,
-            host_id=host_id,
             num_hosts=num_hosts,
             window_batches=window_batches,
         )
@@ -257,7 +258,6 @@ def workload_from_trace(
         batches,
         model,
         distribution=label,
-        host_id=host_id,
         num_hosts=num_hosts,
     )
 

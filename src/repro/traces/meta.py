@@ -11,7 +11,7 @@ holds per-table index arrays and bag offsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,10 +21,17 @@ from repro.traces.synthetic import TraceDistribution, generate_indices
 
 @dataclass
 class TraceBatch:
-    """One batch of a trace: per-table indices and offsets."""
+    """One batch of a trace: per-table indices and offsets.
+
+    ``hosts`` is the batch's host range ``(first_host, host_count)``: bag
+    ``s`` of every table is issued by host ``first_host + s % host_count``.
+    ``None`` spreads the bags over all of the workload's hosts.  A
+    multi-tenant trace gives each tenant's batches that tenant's hosts.
+    """
 
     indices_per_table: List[np.ndarray]
     offsets_per_table: List[np.ndarray]
+    hosts: Optional[Tuple[int, int]] = None
 
     @property
     def num_tables(self) -> int:
@@ -32,9 +39,9 @@ class TraceBatch:
 
     @property
     def batch_size(self) -> int:
-        if not self.offsets_per_table:
-            return 0
-        return len(self.offsets_per_table[0])
+        # The longest table: a batch widened to a larger table space
+        # leaves the tables it does not use empty.
+        return max((len(offsets) for offsets in self.offsets_per_table), default=0)
 
     @property
     def total_lookups(self) -> int:

@@ -230,9 +230,12 @@ class NpzBatchStream(BatchStream):
                     _validate_bags(indices, offsets, f"{self.path} batch {i} table {t}")
                     indices_per_table.append(indices)
                     offsets_per_table.append(offsets)
+                hosts = f"batch{i}_hosts"  # (first_host, host_count), when saved
+                hosts = tuple(archive[hosts].tolist()) if hosts in archive.files else None
                 yield TraceBatch(
                     indices_per_table=indices_per_table,
                     offsets_per_table=offsets_per_table,
+                    hosts=hosts,
                 )
 
     def __getstate__(self):

@@ -1,9 +1,19 @@
-"""SLS workload container consumed by every simulated system."""
+"""SLS workloads: windows of bags, consumed by every simulated system.
+
+Every workload is one contract (:class:`Workload`): a re-iterable source
+of :class:`WindowBags` windows (:meth:`Workload.iter_bags`).  Requests,
+address arrays, counts and unique pages derive from those bags in one
+place, so the eager :class:`SLSWorkload` (the whole trace resident as one
+window), the out-of-core :class:`StreamingWorkload` and a fleet shard view
+(:class:`~repro.fleet.shard.ShardWorkload`) replay, count and profile the
+same requests by the same code.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,81 +56,6 @@ class SLSRequest:
         return self.num_candidates * self.row_bytes
 
 
-@dataclass
-class SLSWorkload:
-    """A full SLS workload: requests plus the address space they live in.
-
-    ``trace`` holds the per-batch (indices, offsets) arrays the requests
-    were flattened from, when known — it is what the trace-file export
-    (:func:`repro.traces.files.save_workload_trace`) writes, enabling a
-    bit-identical save → load → rebuild round trip.  Workloads assembled
-    directly from requests (e.g. multi-tenant mixes) carry ``None``.
-    """
-
-    model: ModelConfig
-    address_space: AddressSpace
-    requests: List[SLSRequest]
-    batch_size: int
-    num_batches: int
-    distribution: str
-    trace: Optional[List[TraceBatch]] = None
-
-    #: Eager workloads hold every request resident (duck-typed marker, see
-    #: :class:`StreamingWorkload`).
-    streaming = False
-
-    def __iter__(self) -> Iterator[SLSRequest]:
-        return iter(self.requests)
-
-    def iter_windows(self) -> Iterator[List[SLSRequest]]:
-        """The whole request list as one window (the :class:`StreamingWorkload` contract)."""
-        yield self.requests
-
-    def iter_address_arrays(self) -> Iterator[np.ndarray]:
-        """Every request's addresses, concatenated in request order, as one array."""
-        if self.requests:
-            yield np.concatenate([request.addresses for request in self.requests])
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def __getstate__(self):
-        """Pickle without the source trace batches.
-
-        In memory ``trace`` is nearly free (the requests' arrays are views
-        into the same buffers), but pickling materializes every view — a
-        workload shipped to a sweep worker would carry each index twice.
-        The simulation never reads ``trace``; it exists for the in-process
-        export path, so it stays on this side of the boundary.
-        """
-        state = self.__dict__.copy()
-        state["trace"] = None
-        return state
-
-    # ``total_lookups``/``total_bytes`` are summed once and cached: requests
-    # are immutable after construction and the online serving loop reads
-    # these per-tick, so recomputing the full sums on every access would put
-    # an O(requests) walk on the serving hot path.
-    @cached_property
-    def total_lookups(self) -> int:
-        return int(sum(r.num_candidates for r in self.requests))
-
-    @cached_property
-    def total_bytes(self) -> int:
-        return int(sum(r.bytes_accessed for r in self.requests))
-
-    @property
-    def working_set_bytes(self) -> int:
-        return self.address_space.total_bytes
-
-    def unique_pages(self) -> int:
-        if not self.requests:
-            return 0
-        page_size = self.address_space.page_size
-        addresses = np.concatenate([request.addresses for request in self.requests])
-        return int(np.unique(addresses // page_size).size)
-
-
 @dataclass(frozen=True)
 class WindowBags:
     """The non-empty bags of a window of trace batches as columns.
@@ -128,11 +63,11 @@ class WindowBags:
     One entry per bag, in request order (batch, then table, then sample),
     with the global request id and the host it gets.  ``rows`` holds the
     window's indices back to back; bag ``i`` reads ``rows[start[i]:start[i]
-    + length[i]]``.  This is the one bag rule: every workload source builds
-    its :class:`SLSRequest` objects through :meth:`requests`, so bag
-    semantics (bounds, empty-bag skip, ids, hosts) cannot drift between
-    sources.  A consumer that keeps only some bags (:meth:`take`, a fleet
-    shard view) resolves addresses and builds requests for those alone.
+    + length[i]]``.  This is the one bag rule: every workload builds its
+    :class:`SLSRequest` objects through :meth:`requests`, so bag semantics
+    (bounds, empty-bag skip, ids, hosts) cannot drift between sources.  A
+    consumer that keeps only some bags (:meth:`take`, a fleet shard view)
+    resolves addresses and builds requests for those alone.
     """
 
     request_id: np.ndarray
@@ -144,27 +79,33 @@ class WindowBags:
     rows: np.ndarray
 
     @classmethod
-    def of(
-        cls, window: Sequence[TraceBatch], first_id: int, host_id: int = 0, num_hosts: int = 1
-    ) -> "WindowBags":
+    def of(cls, window: Sequence[TraceBatch], first_id: int, num_hosts: int = 1) -> "WindowBags":
         """The bags of one window of trace batches, numbered from ``first_id``.
 
         Bag ``s`` of a (batch, table) runs from ``offsets[s]`` to the next
         offset, the last one to the end of the indices; empty bags get no
-        id; bag ``s`` goes to host ``(host_id + s) % num_hosts``.
+        id; bag ``s`` goes to host ``first_host + s % host_count`` under
+        its batch's host range, ``(0, num_hosts)`` when the batch has none.
         """
+        ranges = [batch.hosts or (0, num_hosts) for batch in window]
+        for first_host, host_count in ranges:
+            if first_host < 0 or host_count < 1 or first_host + host_count > num_hosts:
+                raise ValueError(
+                    f"batch host range (first_host={first_host}, host_count={host_count}) "
+                    f"lies outside num_hosts={num_hosts}"
+                )
         groups = [
-            (table, batch.indices_per_table[table], batch.offsets_per_table[table])
-            for batch in window
+            (table, batch.indices_per_table[table], batch.offsets_per_table[table], hosts)
+            for batch, hosts in zip(window, ranges)
             for table in range(batch.num_tables)
         ]
         if not groups:
             empty = np.zeros(0, dtype=np.int64)
             return cls(empty, empty, empty, empty, empty, empty, empty)
-        sizes = np.array([len(indices) for _, indices, _ in groups], dtype=np.int64)
-        counts = np.array([len(offsets) for _, _, offsets in groups], dtype=np.int64)
-        rows = np.concatenate([indices for _, indices, _ in groups]).astype(np.int64, copy=False)
-        offsets = np.concatenate([offsets for _, _, offsets in groups]).astype(np.int64, copy=False)
+        sizes = np.array([len(indices) for _, indices, _, _ in groups], dtype=np.int64)
+        counts = np.array([len(offsets) for _, _, offsets, _ in groups], dtype=np.int64)
+        rows = np.concatenate([indices for _, indices, _, _ in groups]).astype(np.int64, copy=False)
+        offsets = np.concatenate([offsets for _, _, offsets, _ in groups]).astype(np.int64, copy=False)
         group_of_bag = np.repeat(np.arange(len(groups)), counts)
         size = sizes[group_of_bag]
         # Each bag ends where the next bag of its group starts; a group's last
@@ -177,13 +118,15 @@ class WindowBags:
         length = np.clip(following, begin, size) - begin
         first_bag = np.cumsum(counts) - counts
         sample = np.arange(len(offsets)) - np.repeat(first_bag, counts)
-        table = np.repeat(np.array([table for table, _, _ in groups], dtype=np.int64), counts)
+        table = np.repeat(np.array([table for table, _, _, _ in groups], dtype=np.int64), counts)
         start = (np.cumsum(sizes) - sizes)[group_of_bag] + begin
         kept = length > 0
         sample = sample[kept]
+        group = group_of_bag[kept]
+        first_host, host_count = np.array([hosts for _, _, _, hosts in groups], dtype=np.int64).T
         return cls(
             request_id=first_id + np.arange(int(np.count_nonzero(kept)), dtype=np.int64),
-            host=(host_id + sample) % num_hosts,
+            host=first_host[group] + sample % host_count[group],
             table=table[kept],
             sample=sample,
             start=start[kept],
@@ -253,67 +196,189 @@ class WindowBags:
         return requests
 
 
+class Workload:
+    """The one workload contract: a re-iterable source of :class:`WindowBags`.
+
+    A workload has a ``model``, an ``address_space``, a ``distribution``
+    label, ``batch_size`` and ``num_batches``, and provides
+    :meth:`iter_bags`: its windows of bags, request ids running on
+    sequentially from one window to the next.  Everything else derives from
+    those bags here, once: the requests window by window, the address
+    arrays the hotness profile reads, the request and lookup counts (one
+    pass, cached, building no request) and the unique pages.  So a replay,
+    a count and a profile of any workload see the same requests.
+    """
+
+    #: Whether the workload reads its trace from a stream (only serve's
+    #: dispatch choice reads it).
+    streaming = False
+    #: The trace batches the bags come from (a list or a re-iterable
+    #: stream), or ``None`` when the workload holds none; it is what
+    #: :func:`~repro.traces.files.save_workload_trace` writes.
+    trace = None
+
+    model: ModelConfig
+    address_space: AddressSpace
+
+    def iter_bags(self) -> Iterator[WindowBags]:
+        """Yield the workload's windows of bags."""
+        raise NotImplementedError
+
+    def iter_windows(self) -> Iterator[List[SLSRequest]]:
+        """Yield the requests window by window; one window is resident at a time."""
+        space, row_bytes = self.address_space, self.model.embedding_row_bytes
+        for bags in self.iter_bags():
+            yield bags.requests(space, row_bytes)
+
+    def __iter__(self) -> Iterator[SLSRequest]:
+        return chain.from_iterable(self.iter_windows())
+
+    def iter_address_arrays(self) -> Iterator[np.ndarray]:
+        """Each window's request addresses back to back, in request order.
+
+        Their concatenation is every request's addresses in request order,
+        which is what keeps the hotness profile independent of where the
+        windows are cut, insertion order included.
+        """
+        for bags in self.iter_bags():
+            if len(bags):
+                yield bags.addresses(self.address_space)
+
+    @cached_property
+    def _counts(self) -> Tuple[int, int]:
+        """``(requests, lookups)`` counted from the bags, building no request."""
+        requests = lookups = 0
+        for bags in self.iter_bags():
+            requests += len(bags)
+            lookups += int(bags.length.sum())
+        return requests, lookups
+
+    @property
+    def num_requests(self) -> int:
+        return self._counts[0]
+
+    def __len__(self) -> int:
+        return self._counts[0]
+
+    @property
+    def total_lookups(self) -> int:
+        return self._counts[1]
+
+    @property
+    def total_bytes(self) -> int:
+        # Row size is uniform across tables, so bytes = lookups x row size.
+        return self.total_lookups * self.model.embedding_row_bytes
+
+    @property
+    def working_set_bytes(self) -> int:
+        return self.address_space.total_bytes
+
+    def unique_pages(self) -> int:
+        space = self.address_space
+        seen = np.zeros(space.total_pages, dtype=bool)
+        for addresses in self.iter_address_arrays():
+            seen[addresses // space.page_size] = True
+        return int(np.count_nonzero(seen))
+
+
 def _check_num_hosts(num_hosts: int) -> None:
     if num_hosts < 1:
         raise ValueError(f"num_hosts must be >= 1, got {num_hosts!r}")
 
 
+@dataclass(eq=False)
+class SLSWorkload(Workload):
+    """An eager workload: the whole trace resident as one window of bags.
+
+    ``trace`` holds the batches ``bags`` was flattened from; it is what the
+    trace-file export (:func:`repro.traces.files.save_workload_trace`)
+    writes, enabling a bit-identical save → load → rebuild round trip.
+    ``requests`` is the window's request list, built once with the
+    workload and yielded as its one window.
+    """
+
+    model: ModelConfig
+    address_space: AddressSpace
+    bags: WindowBags
+    batch_size: int
+    num_batches: int
+    distribution: str
+    trace: Optional[List[TraceBatch]] = None
+
+    def __post_init__(self) -> None:
+        self.requests  # built with the workload: every session replays it
+
+    @cached_property
+    def requests(self) -> List[SLSRequest]:
+        """The window's request list (rebuilt on first use after a pickle)."""
+        return self.bags.requests(self.address_space, self.model.embedding_row_bytes)
+
+    def iter_bags(self) -> Iterator[WindowBags]:
+        yield self.bags
+
+    def iter_windows(self) -> Iterator[List[SLSRequest]]:
+        yield self.requests
+
+    def __getstate__(self):
+        """Pickle the bags alone.
+
+        The request arrays are views into the bags' buffers in memory, but
+        pickling materializes every view, so a workload shipped to a sweep
+        worker would carry each index twice, and a fleet worker replaying
+        one shard builds only that shard's requests; ``trace`` exists for
+        the in-process export path and stays on this side of the boundary.
+        """
+        state = self.__dict__.copy()
+        state["trace"] = None
+        state.pop("requests", None)
+        return state
+
+
 def workload_from_batches(
-    batches: List[TraceBatch],
+    batches: Sequence[TraceBatch],
     model: ModelConfig,
     *,
     distribution: str = "file",
     batch_size: Optional[int] = None,
     num_batches: Optional[int] = None,
-    host_id: int = 0,
     num_hosts: int = 1,
     space: Optional[AddressSpace] = None,
 ) -> SLSWorkload:
     """Flatten trace batches into an :class:`SLSWorkload`.
 
-    The shared request-construction path behind every workload source:
-    synthetic generators (:func:`build_workload`), trace files
-    (:mod:`repro.traces.files`) and the drifting-popularity generator all
-    produce :class:`~repro.traces.meta.TraceBatch` lists and meet here, so
-    a trace exported to disk and re-loaded rebuilds the *identical*
-    request stream.  When ``num_hosts`` is greater than one, requests are
-    assigned to hosts round-robin by sample, matching the paper's
-    multi-host experiments where concurrent hosts issue batches against
-    the same tables.
+    The shared request-construction path behind every eager workload
+    source: synthetic generators (:func:`build_workload`), trace files
+    (:mod:`repro.traces.files`), the drifting-popularity generator, the
+    multi-tenant provider and the PIFS runtime all produce
+    :class:`~repro.traces.meta.TraceBatch` lists and meet here, so a trace
+    exported to disk and re-loaded rebuilds the *identical* request stream.
+    Bags go to hosts round-robin by sample over ``num_hosts``, matching the
+    paper's multi-host experiments where concurrent hosts issue batches
+    against the same tables, or over a batch's own host range.
     """
     _check_num_hosts(num_hosts)
-    space = space or AddressSpace.for_model(model)
-    row_bytes = model.embedding_row_bytes
-    requests: List[SLSRequest] = []
-    # One batch per window keeps the window's temporaries small.
-    for batch in batches:
-        bags = WindowBags.of([batch], len(requests), host_id, num_hosts)
-        requests.extend(bags.requests(space, row_bytes))
+    batches = list(batches)
     return SLSWorkload(
         model=model,
-        address_space=space,
-        requests=requests,
+        address_space=space or AddressSpace.for_model(model),
+        bags=WindowBags.of(batches, 0, num_hosts),
         batch_size=(batches[0].batch_size if batches else 0) if batch_size is None else batch_size,
         num_batches=len(batches) if num_batches is None else num_batches,
         distribution=distribution,
-        trace=list(batches),
+        trace=batches,
     )
 
 
-class StreamingWorkload:
+class StreamingWorkload(Workload):
     """An out-of-core workload: batch windows flattened on demand.
 
-    The streaming twin of :class:`SLSWorkload`.  Instead of a materialized
-    request list it holds a re-iterable :class:`~repro.traces.stream.BatchStream`
-    and flattens one *window* (``window_batches`` trace batches) of
-    :class:`SLSRequest` objects at a time — through the
-    :class:`WindowBags` rule the eager constructor uses, with the
-    same sequential request ids and the same round-robin host assignment,
-    so the reconstructed request stream is bit-identical to the eager
-    workload built from the same batches.  Only the active window is
-    resident; everything that needs whole-trace aggregates
-    (``num_requests``, ``total_lookups``) comes from one cheap batch-level
-    counting pass over the stream.
+    Instead of a resident window it holds a re-iterable
+    :class:`~repro.traces.stream.BatchStream` and flattens one *window*
+    (``window_batches`` trace batches) of bags at a time, through the
+    :class:`WindowBags` rule the eager constructor uses, so the rebuilt
+    request stream is bit-identical to the eager workload built from the
+    same batches.  Only the active window is resident, and building the
+    workload reads no batch.
 
     Pickles as a small handle (the stream's path + decode parameters plus
     the model/space configs), which is what sweep workers receive instead
@@ -330,7 +395,6 @@ class StreamingWorkload:
         distribution: str = "file",
         batch_size: Optional[int] = None,
         num_batches: Optional[int] = None,
-        host_id: int = 0,
         num_hosts: int = 1,
         space: Optional[AddressSpace] = None,
         window_batches: int = DEFAULT_WINDOW_BATCHES,
@@ -342,67 +406,31 @@ class StreamingWorkload:
         self.model = model
         self.address_space = space or AddressSpace.for_model(model)
         self.distribution = distribution
-        self.host_id = host_id
         self.num_hosts = num_hosts
         self.window_batches = window_batches
         self._batch_size = batch_size
         self._num_batches = num_batches
-        self._scan: Optional[dict] = None
-
-    # ------------------------------------------------------------------
-    # Whole-trace aggregates (one batch-level pass, cached)
-    # ------------------------------------------------------------------
-    def _scanned(self) -> dict:
-        """Count requests/lookups by the :class:`WindowBags` rule, building no request."""
-        if self._scan is None:
-            num_requests = 0
-            total_lookups = 0
-            num_batches = 0
-            batch_size = 0
-            for batch in self.stream:
-                if num_batches == 0:
-                    batch_size = batch.batch_size
-                num_batches += 1
-                bags = WindowBags.of([batch], num_requests)
-                num_requests += len(bags)
-                total_lookups += int(bags.length.sum())
-            self._scan = {
-                "num_requests": num_requests,
-                "total_lookups": total_lookups,
-                "num_batches": num_batches,
-                "batch_size": batch_size,
-            }
-        return self._scan
 
     @property
-    def num_requests(self) -> int:
-        return self._scanned()["num_requests"]
+    def trace(self) -> BatchStream:
+        return self.stream
 
-    @property
-    def total_lookups(self) -> int:
-        return self._scanned()["total_lookups"]
-
-    @property
-    def total_bytes(self) -> int:
-        # Row size is uniform across tables, so bytes = lookups x row size
-        # exactly as the eager per-request sum.
-        return self.total_lookups * self.model.embedding_row_bytes
+    @cached_property
+    def _shape(self) -> Tuple[int, int]:
+        """``(batch_size, num_batches)`` read from the stream, when not given."""
+        batch_size = num_batches = 0
+        for num_batches, batch in enumerate(self.stream, 1):
+            if num_batches == 1:
+                batch_size = batch.batch_size
+        return batch_size, num_batches
 
     @property
     def batch_size(self) -> int:
-        if self._batch_size is not None:
-            return self._batch_size
-        return self._scanned()["batch_size"]
+        return self._shape[0] if self._batch_size is None else self._batch_size
 
     @property
     def num_batches(self) -> int:
-        if self._num_batches is not None:
-            return self._num_batches
-        return self._scanned()["num_batches"]
-
-    @property
-    def working_set_bytes(self) -> int:
-        return self.address_space.total_bytes
+        return self._shape[1] if self._num_batches is None else self._num_batches
 
     @property
     def requests(self):
@@ -411,88 +439,16 @@ class StreamingWorkload:
             "the workload (or iter_windows()) instead, or call materialize()"
         )
 
-    def __len__(self) -> int:
-        return self.num_requests
-
-    # ------------------------------------------------------------------
-    # Lazy request reconstruction
-    # ------------------------------------------------------------------
-    def iter_bags(self, window_batches: Optional[int] = None) -> Iterator[WindowBags]:
-        """Yield each window as :class:`WindowBags`, building no request.
-
-        Request ids run sequentially across windows and hosts follow the
-        eager round-robin rule, so a consumer keeping some bags of each
-        window (a fleet shard view) rebuilds exactly those requests.
-        """
-        if window_batches is None:
-            window_batches = self.window_batches
+    def iter_bags(self) -> Iterator[WindowBags]:
+        """Yield the stream's windows of ``window_batches`` batches as bags."""
         request_id = 0
-        for window in self.stream.windows(window_batches):
-            bags = WindowBags.of(window, request_id, self.host_id, self.num_hosts)
+        for window in self.stream.windows(self.window_batches):
+            bags = WindowBags.of(window, request_id, self.num_hosts)
+            # The bags hold the window's rows: drop its batches before the
+            # window is consumed.
+            window.clear()
             request_id += len(bags)
             yield bags
-
-    def iter_windows(
-        self, window_batches: Optional[int] = None
-    ) -> Iterator[List[SLSRequest]]:
-        """Yield windows of requests, one window resident at a time.
-
-        Each batch's bags are built by the eager rule, so
-        ``chain(*iter_windows())`` reproduces ``materialize().requests``
-        element for element.  Building batch by batch keeps the
-        temporaries, and the trace batches held, to one batch.
-        """
-        if window_batches is None:
-            window_batches = self.window_batches
-        if window_batches <= 0:
-            raise ValueError("window_batches must be positive")
-        space, row_bytes = self.address_space, self.model.embedding_row_bytes
-        requests: List[SLSRequest] = []
-        batches = 0
-        for batches, bags in enumerate(self.iter_bags(1), 1):
-            requests.extend(bags.requests(space, row_bytes))
-            if batches % window_batches == 0:
-                yield requests
-                requests = []
-        if batches % window_batches:
-            yield requests
-
-    def __iter__(self) -> Iterator[SLSRequest]:
-        for window in self.iter_windows():
-            for request in window:
-                yield request
-
-    def iter_address_arrays(self) -> Iterator[np.ndarray]:
-        """Each batch's request addresses back to back, in request order.
-
-        Their concatenation equals the eager per-request address arrays
-        concatenated, which is what keeps the streaming hotness-profiling
-        pass bit-identical to the eager one, insertion order included.
-        One batch is resident at a time.
-        """
-        for bags in self.iter_bags(1):
-            if len(bags):
-                yield bags.addresses(self.address_space)
-
-    def unique_pages(self) -> int:
-        page_size = self.address_space.page_size
-        pages: set = set()
-        for addresses in self.iter_address_arrays():
-            pages.update((addresses // page_size).tolist())
-        return len(pages)
-
-    def shard_view(self, router, shard: int, num_shards: int):
-        """One shard's view of this workload under a fleet router.
-
-        Returns a :class:`~repro.fleet.shard.ShardWorkload` filtering
-        this stream to the requests ``router`` assigns to ``shard`` —
-        same global request ids, same O(window) residency, one shared
-        stream handle across all shards (the fleet engine's feeding
-        mechanism; see :mod:`repro.fleet`).
-        """
-        from repro.fleet.shard import ShardWorkload
-
-        return ShardWorkload(self, router, shard, num_shards)
 
     def materialize(self) -> SLSWorkload:
         """Build the equivalent eager :class:`SLSWorkload` (whole trace resident)."""
@@ -502,7 +458,6 @@ class StreamingWorkload:
             distribution=self.distribution,
             batch_size=self._batch_size,
             num_batches=self._num_batches,
-            host_id=self.host_id,
             num_hosts=self.num_hosts,
             space=self.address_space,
         )
@@ -511,7 +466,6 @@ class StreamingWorkload:
 def build_workload(
     config: WorkloadConfig,
     distribution: Optional[str] = None,
-    host_id: int = 0,
     num_hosts: int = 1,
     streaming: bool = False,
     window_batches: int = DEFAULT_WINDOW_BATCHES,
@@ -524,29 +478,22 @@ def build_workload(
     :class:`StreamingWorkload` drives the seeded generator lazily and
     reconstructs the identical request stream window by window.
     """
-    dist_name = distribution or config.distribution
-    dist = TraceDistribution.from_name(dist_name)
+    dist = TraceDistribution.from_name(distribution or config.distribution)
+    options = dict(
+        distribution=dist.value,
+        batch_size=config.batch_size,
+        num_batches=config.num_batches,
+        num_hosts=num_hosts,
+    )
     if streaming:
         return StreamingWorkload(
             SyntheticBatchStream(config, distribution=dist.value),
             config.model,
-            distribution=dist.value,
-            batch_size=config.batch_size,
-            num_batches=config.num_batches,
-            host_id=host_id,
-            num_hosts=num_hosts,
             window_batches=window_batches,
+            **options,
         )
-    batches: List[TraceBatch] = generate_meta_like_trace(config, distribution=dist)
-    return workload_from_batches(
-        batches,
-        config.model,
-        distribution=dist.value,
-        batch_size=config.batch_size,
-        num_batches=config.num_batches,
-        host_id=host_id,
-        num_hosts=num_hosts,
-    )
+    batches = generate_meta_like_trace(config, distribution=dist)
+    return workload_from_batches(batches, config.model, **options)
 
 
 __all__ = [
@@ -554,6 +501,7 @@ __all__ = [
     "SLSWorkload",
     "StreamingWorkload",
     "WindowBags",
+    "Workload",
     "build_workload",
     "workload_from_batches",
 ]

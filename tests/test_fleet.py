@@ -332,7 +332,7 @@ def test_one_shard_view_is_the_whole_workload():
     eager = workload_from_batches(batches, MODEL)
     streaming = StreamingWorkload(MemoryBatchStream(batches), MODEL, window_batches=2)
     for router in ROUTERS:
-        view = streaming.shard_view(router, 0, 1)
+        view = ShardWorkload(streaming, router, 0, 1)
         assert_requests_equal(eager.requests, iter(view))
         assert len(view) == len(eager.requests)
 
@@ -360,9 +360,9 @@ def test_streaming_shard_view_pickles_as_a_handle(tmp_path):
     streaming = workload_from_trace(path, MODEL, streaming=True)
     for router in ROUTERS:
         for shard in range(3):
-            view = streaming.shard_view(router, shard, 3)
-            list(view)  # populate the scan caches, which must NOT ride along
-            view._scanned()
+            view = ShardWorkload(streaming, router, shard, 3)
+            list(view)
+            len(view)  # the cached count rides along; no trace bytes do
             payload = pickle.dumps(view)
             assert len(payload) < 4096, (
                 f"{router.policy} shard view pickled to {len(payload)} bytes"
@@ -373,12 +373,13 @@ def test_streaming_shard_view_pickles_as_a_handle(tmp_path):
 
 
 def test_eager_shard_view_pickle_drops_the_filtered_list():
+    """An eager view ships its base's bags: no request object rides along."""
     eager = workload_from_batches(random_batches(2, 3, 2, 4, 3), MODEL)
     view = ShardWorkload(eager, HashRouter(seed=1), 0, 2)
-    kept = list(view.requests)
-    clone = pickle.loads(pickle.dumps(view))
-    assert clone._requests is None and clone._scan is None
-    assert_requests_equal(kept, clone.requests)
+    kept = list(view)
+    payload = pickle.dumps(view)
+    assert b"SLSRequest" not in payload
+    assert_requests_equal(kept, iter(pickle.loads(payload)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from harness import serve_fingerprint, sim_fingerprint
 from repro.api.cli import main as cli_main
-from repro.api.session import Simulation, clear_cache
+from repro.api.session import Simulation, build_system, clear_cache
 from repro.config import BufferConfig, DEFAULT_SYSTEM
 from repro.cxl.topology import FabricTopology
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
@@ -38,6 +38,8 @@ from repro.scenarios import (
     scenario,
     unregister_scenario,
 )
+from repro.traces.files import save_workload_trace, workload_from_trace
+from test_result_pins import result_digest
 
 #: Every scenario the starter catalog promises (ISSUE 5 wants >= 8).
 CATALOG = (
@@ -54,6 +56,10 @@ CATALOG = (
     "pooling-scaling",
     "table-scaling",
 )
+
+
+#: The catalog's multi-tenant scenarios: their batches carry host ranges.
+MULTI_TENANT = ("tenant-mix", "tenant-quad", "priority-inversion")
 
 
 @pytest.fixture(autouse=True)
@@ -339,6 +345,30 @@ class TestWorkloadMixes:
         with pytest.raises(ValueError, match="embedding dimension"):
             sim.build_workload()
 
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("name", MULTI_TENANT)
+    def test_multi_tenant_trace_replays_identically(self, name, engine, tmp_path):
+        """The exported mix, reloaded under the combined model and the
+        tenants' hosts, replays to the provider's own SimResult digest."""
+        spec = scenario(name).simulation(system="pifs-rec", engine=engine, quick=True).spec()
+        provider = spec.workload_provider
+        workload = provider.build(spec)
+        path = save_workload_trace(workload, tmp_path / f"{name}.npz")
+        reloaded = workload_from_trace(
+            path, provider.combined_model(spec), num_hosts=provider.total_hosts
+        )
+        assert len(reloaded) == len(workload)
+        assert result_digest(build_system(spec).run(reloaded)) == result_digest(
+            build_system(spec).run(workload)
+        )
+
+    def test_tenant_trace_rejects_fewer_hosts(self, tmp_path):
+        spec = scenario("tenant-quad").simulation(quick=True).spec()
+        provider = spec.workload_provider
+        path = save_workload_trace(provider.build(spec), tmp_path / "quad.npz")
+        with pytest.raises(ValueError, match=r"host range \(first_host=\d+, host_count=\d+\)"):
+            workload_from_trace(path, provider.combined_model(spec), num_hosts=2)
+
     def test_tenant_interleaving(self):
         """Batches interleave round-robin, so tenants contend throughout."""
         workload = scenario("tenant-mix").simulation(quick=True).build_workload()
@@ -541,6 +571,17 @@ class TestScenarioCLI:
             assert sorted(exported.files) == sorted(expected.files)
             for name in expected.files:
                 np.testing.assert_array_equal(exported[name], expected[name])
+
+    @pytest.mark.parametrize("name", MULTI_TENANT)
+    def test_multi_tenant_export_trace(self, name, tmp_path, capsys):
+        target = tmp_path / f"{name}.npz"
+        assert cli_main([
+            "scenario", "run", name, "--quick", "--export-trace", str(target),
+        ]) == 0
+        workload = scenario(name).simulation(quick=True).build_workload()
+        assert f"exported {len(workload)} requests" in capsys.readouterr().out
+        with np.load(target) as archive:
+            assert "batch0_hosts" in archive.files
 
     def test_serve_trace_holds_serve_and_engine_spans(self, tmp_path, capsys):
         from repro.obs.recorder import validate_chrome_trace

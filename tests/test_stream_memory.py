@@ -21,8 +21,10 @@ from typing import Tuple
 import pytest
 
 from repro.api.registry import create_system
-from repro.api.session import Simulation
+from repro.api.session import Simulation, build_system
+from repro.api.session import build_workload as build_spec_workload
 from repro.config import DEFAULT_SYSTEM, RMC1, WorkloadConfig, scaled_model
+from repro.dram.address_mapping import AddressMapping
 from repro.fleet.executor import Fleet
 from repro.sls.vector import VectorContext
 from repro.traces.workload import build_workload
@@ -174,6 +176,40 @@ def test_eager_vector_replay_holds_one_block_and_releases_it(monkeypatch):
     assert system._vector is None and system._vector_fallback_reason is None
     longest_request = max(request.num_candidates for request in workload.requests)
     assert 0 < longest_list <= max(VectorContext.NODE_WINDOW, longest_request)
+
+
+def test_vector_replay_decodes_each_position_once(monkeypatch):
+    """A block gathered after a migration starts inside the old block; its
+    overlap with the old block carries over instead of being decoded
+    again, so the positions decoded equal the lookups replayed."""
+    spec = Simulation("pifs-rec").quick().batch_size(64).num_batches(8).engine("vector").spec()
+    decode_block = VectorContext._decode_block
+    decode_flat_batch = AddressMapping.decode_flat_batch
+    decoding = None  # the local mapping of the context inside _decode_block
+    decoded = carried = 0
+
+    def counted_block(self, begin, end):
+        nonlocal carried, decoding
+        # (A context under construction may have no block yet.)
+        carried += getattr(self, "_block_start", 0) <= begin < getattr(self, "_block_end", 0)
+        decoding = self._local_mapping
+        try:
+            decode_block(self, begin, end)
+        finally:
+            decoding = None
+
+    def counted_decode(self, addresses):
+        nonlocal decoded
+        if self is decoding:
+            decoded += len(addresses)
+        return decode_flat_batch(self, addresses)
+
+    monkeypatch.setattr(VectorContext, "_decode_block", counted_block)
+    monkeypatch.setattr(AddressMapping, "decode_flat_batch", counted_decode)
+    result = build_system(spec).run(build_spec_workload(spec))
+    assert result.lookups > VectorContext.NODE_WINDOW and result.migrations > 0
+    assert carried > 0, "no block started inside the previous one"
+    assert decoded == result.lookups
 
 
 def test_fleet_shards_hold_no_vector_context():
