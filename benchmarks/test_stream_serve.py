@@ -7,7 +7,10 @@ bounded-lookahead dispatch) — and pins the streaming promise from both
 sides: the serving metrics (latency percentiles, per-request records,
 goodput, backend counters) are bit-identical, and the streaming session
 costs at most ``STREAM_CEILING`` of the eager wall-clock.  The closed-loop
-replay path is pinned the same way.  Records the
+replay path is pinned the same way.  Each repeat times the two sides back
+to back, alternating which goes first, so a slow spell of the host lands
+on both sides of a pair; the ceiling holds the median over repeats of the
+paired streamed/eager ratio summed over the systems.  Records the
 ``BENCH_stream_serve.json`` trajectory baseline.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a shorter session with a relaxed ceiling
@@ -16,6 +19,7 @@ and no baseline file.
 
 import os
 import pathlib
+import statistics
 import time
 
 from conftest import bench_environment, run_once, write_baseline
@@ -45,13 +49,29 @@ def _session(name, stream):
     return sim
 
 
-def _best(repeats, run):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = run()
-        best = min(best, time.perf_counter() - started)
-    return best, result
+def _paired(repeats, run):
+    """``repeats`` timings of ``run(stream)`` per side, the sides back to back.
+
+    Even repeats run eager first, odd ones streamed first.  Returns the
+    eager and the streamed seconds per repeat and each side's last result.
+    """
+    seconds = {False: [], True: []}
+    results = {}
+    for repeat in range(repeats):
+        for stream in (False, True) if repeat % 2 == 0 else (True, False):
+            started = time.perf_counter()
+            results[stream] = run(stream)
+            seconds[stream].append(time.perf_counter() - started)
+    return seconds[False], seconds[True], results[False], results[True]
+
+
+def _median_paired_ratio(rows, mode):
+    """The median over repeats of sum(streamed) / sum(eager) across ``rows``."""
+    ratios = [
+        sum(r[f"stream_{mode}_ms"][i] for r in rows) / sum(r[f"eager_{mode}_ms"][i] for r in rows)
+        for i in range(REPEATS)
+    ]
+    return statistics.median(ratios)
 
 
 def _serve_once(name, stream):
@@ -75,8 +95,9 @@ def _run_once(name, stream):
 def _stream_grid():
     rows = []
     for name in SYSTEMS:
-        eager_s, eager_serve = _best(REPEATS, lambda: _serve_once(name, False))
-        stream_s, stream_serve = _best(REPEATS, lambda: _serve_once(name, True))
+        eager_s, stream_s, eager_serve, stream_serve = _paired(
+            REPEATS, lambda stream: _serve_once(name, stream)
+        )
         # Out-of-core replay must not change a single serving metric.
         assert eager_serve.latency.to_dict() == stream_serve.latency.to_dict(), (
             f"{name}: streaming serve latency percentiles diverged"
@@ -89,8 +110,9 @@ def _stream_grid():
         )
         assert eager_serve.goodput_qps == stream_serve.goodput_qps
 
-        eager_run_s, eager_run = _best(REPEATS, lambda: _run_once(name, False))
-        stream_run_s, stream_run = _best(REPEATS, lambda: _run_once(name, True))
+        eager_run_s, stream_run_s, eager_run, stream_run = _paired(
+            REPEATS, lambda stream: _run_once(name, stream)
+        )
         assert eager_run.to_dict() == stream_run.to_dict(), (
             f"{name}: streaming closed-loop replay diverged"
         )
@@ -98,12 +120,10 @@ def _stream_grid():
             {
                 "system": name,
                 "requests": eager_serve.requests,
-                "eager_serve_ms": eager_s * 1e3,
-                "stream_serve_ms": stream_s * 1e3,
-                "serve_ratio": stream_s / eager_s,
-                "eager_run_ms": eager_run_s * 1e3,
-                "stream_run_ms": stream_run_s * 1e3,
-                "run_ratio": stream_run_s / eager_run_s,
+                "eager_serve_ms": [t * 1e3 for t in eager_s],
+                "stream_serve_ms": [t * 1e3 for t in stream_s],
+                "eager_run_ms": [t * 1e3 for t in eager_run_s],
+                "stream_run_ms": [t * 1e3 for t in stream_run_s],
             }
         )
     return rows
@@ -111,26 +131,22 @@ def _stream_grid():
 
 def test_stream_serve(benchmark):
     rows = run_once(benchmark, _stream_grid)
+    serve_ratio = _median_paired_ratio(rows, "serve")
+    run_ratio = _median_paired_ratio(rows, "run")
 
-    serve_ratio = sum(r["stream_serve_ms"] for r in rows) / sum(
-        r["eager_serve_ms"] for r in rows
-    )
-    run_ratio = sum(r["stream_run_ms"] for r in rows) / sum(
-        r["eager_run_ms"] for r in rows
-    )
-
+    median = statistics.median
     print()
     print(format_table(
-        ["system", "requests", "eager_serve_ms", "stream_serve_ms", "serve_ratio",
-         "eager_run_ms", "stream_run_ms", "run_ratio"],
-        [[r["system"], r["requests"], r["eager_serve_ms"], r["stream_serve_ms"],
-          r["serve_ratio"], r["eager_run_ms"], r["stream_run_ms"], r["run_ratio"]]
+        ["system", "requests", "eager_serve_ms", "stream_serve_ms",
+         "eager_run_ms", "stream_run_ms"],
+        [[r["system"], r["requests"], median(r["eager_serve_ms"]), median(r["stream_serve_ms"]),
+          median(r["eager_run_ms"]), median(r["stream_run_ms"])]
          for r in rows],
         float_format="{:,.2f}",
     ))
     print(
-        f"streaming/eager aggregate ({', '.join(SYSTEMS)}): "
-        f"serve {serve_ratio:.2f}x, closed-loop {run_ratio:.2f}x "
+        f"streaming/eager median paired ratio ({', '.join(SYSTEMS)}, "
+        f"{REPEATS} repeats): serve {serve_ratio:.2f}x, closed-loop {run_ratio:.2f}x "
         f"(ceiling {STREAM_CEILING}x)"
     )
 
@@ -139,8 +155,9 @@ def test_stream_serve(benchmark):
         "description": "open-loop serving + closed-loop replay "
         f"(model {MODEL}, {NUM_BATCHES} batches, poisson arrivals "
         f"at {CONFIG.qps:,.0f} qps, batch<= {CONFIG.max_batch_size}), "
-        "eager vs out-of-core streaming workload, best of "
-        f"{REPEATS} runs each; metrics asserted bit-identical",
+        f"eager vs out-of-core streaming workload, {REPEATS} interleaved pairs, "
+        "ms per repeat; ratios are the median paired ratio; metrics asserted "
+        "bit-identical",
         "recorded_unix": int(time.time()),
         "host": bench_environment(),
         "entries": rows,

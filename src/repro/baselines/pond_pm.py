@@ -48,13 +48,9 @@ class PondPMSystem(SLSSystem):
         return self.host_accumulate_bag_vector(request, start_ns, host_id)
 
     def maintenance(self, now_ns: float) -> float:
-        cost = run_page_management_epoch(
-            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
-        )
+        cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
         self.add_migration_cost(cost)
-        # OS page-granular migration blocks the queries touching the page for
-        # a sizeable fraction of the copy time.
-        return cost * 0.25
+        return self.tiered.migration_stall_ns(cost)
 
 
 __all__ = ["PondPMSystem"]

@@ -300,11 +300,10 @@ class RecNMPSystem(SLSSystem):
     def maintenance(self, now_ns: float) -> float:
         if not self.page_management:
             return 0.0
-        cost = run_page_management_epoch(
-            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
-        )
+        cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
         self.add_migration_cost(cost)
-        return cost * 0.25
+        # The epoch runs on the OS path, so queries see the page-block share.
+        return self.tiered.migration_stall_ns(cost, "page_block")
 
 
 __all__ = ["RecNMPSystem"]

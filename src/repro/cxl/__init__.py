@@ -2,7 +2,7 @@
 
 The package models the CXL 2.0/3.0 constructs the paper relies on:
 
-* ``CXL.mem`` M2S request / S2M response and ``CXL.cache`` D2H messages
+* ``CXL.mem`` M2S request / S2M response messages
   (:mod:`repro.cxl.protocol`),
 * the FlexBus physical link with bandwidth occupancy and retimer latency
   (:mod:`repro.cxl.link`),
@@ -20,13 +20,7 @@ from repro.cxl.bias_table import BiasMode, BiasTable
 from repro.cxl.device import CXLType3Device
 from repro.cxl.fabric_manager import FabricManager, PortBinding
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import (
-    CXLCacheD2H,
-    CXLMemM2S,
-    CXLMemS2M,
-    MemOpcode,
-    is_pifs_opcode,
-)
+from repro.cxl.protocol import CXLMemM2S, CXLMemS2M, MemOpcode
 from repro.cxl.switch import FabricSwitch, SwitchPort
 from repro.cxl.topology import FabricTopology
 
@@ -37,11 +31,9 @@ __all__ = [
     "FabricManager",
     "PortBinding",
     "CXLLink",
-    "CXLCacheD2H",
     "CXLMemM2S",
     "CXLMemS2M",
     "MemOpcode",
-    "is_pifs_opcode",
     "FabricSwitch",
     "SwitchPort",
     "FabricTopology",

@@ -34,7 +34,6 @@ class CXLType3Device:
     ) -> None:
         self._device_id = device_id
         self._name = name or f"cxl{device_id}"
-        self._cxl_config = cxl_config
         self._dram = DRAMDevice(dram_config, name=f"{self._name}.dram")
         self._link = CXLLink(
             bandwidth_gbps=cxl_config.downstream_port_bandwidth_gbps,
@@ -169,7 +168,9 @@ class CXLDeviceKernel:
       is consulted for ``address``.
 
     DRAM coordinates come from the device mapping's ``decode_flat_batch``.
-    All arithmetic matches :meth:`CXLType3Device.access` exactly.
+    All arithmetic matches :meth:`CXLType3Device.access` exactly; the link
+    crossings (and ``link_transfer``/``link_transfer_seq``) repeat the
+    arithmetic of :meth:`~repro.cxl.link.CXLLink.transfer`, their reference.
     """
 
     def __init__(self, device: CXLType3Device, bytes_requested: int) -> None:

@@ -126,10 +126,6 @@ class CXLLink:
             return 0.0
         return min(1.0, (self._bytes_transferred / self._bandwidth) / elapsed_ns)
 
-    def batch_kernel(self) -> "LinkKernel":
-        """A flattened transfer kernel over this link's state (batch engine)."""
-        return LinkKernel(self)
-
     def reset(self) -> None:
         self._busy_until_ns = 0.0
         self._bytes_transferred = 0
@@ -137,86 +133,4 @@ class CXLLink:
         self._queued_ns = 0.0
 
 
-class LinkKernel:
-    """Flattened busy-until state of one :class:`CXLLink`.
-
-    ``transfer(bytes_count, start_ns)`` is a closure over plain local state
-    performing exactly the scalar :meth:`CXLLink.transfer` arithmetic;
-    :meth:`sync` folds the evolved state and counters back into the link.
-    The kernel owns the link state until then — do not interleave scalar
-    transfers before syncing.
-
-    This is the reference batch implementation of the transfer arithmetic.
-    ``SwitchPortKernel`` and ``CXLDeviceKernel`` inline the same block (they
-    must share closure state with their fused read paths) — keep all three
-    in sync; the engine equivalence suite pins each against the scalar
-    oracle.  The same applies to the sequenced loop: :meth:`transfer_seq`
-    here is the reference for ``SwitchPortKernel.transfer_stream`` (fixed
-    start) and ``CXLDeviceKernel.link_transfer_seq`` (offset starts).
-    """
-
-    def __init__(self, link: CXLLink) -> None:
-        self._link = link
-        self.transfer, self.transfer_seq, self._snapshot = self._build()
-
-    def _build(self):
-        link = self._link
-        bandwidth = link.bandwidth_gbps
-        propagation = link.propagation_ns
-        busy_until = link.busy_until_ns
-        queued = 0.0
-        nbytes = 0
-        transfers = 0
-
-        def transfer(bytes_count: int, start_ns: float) -> float:
-            nonlocal busy_until, queued, nbytes, transfers
-            serialization = bytes_count / bandwidth
-            begin = start_ns if start_ns > busy_until else busy_until
-            queued += begin - start_ns
-            busy_until = begin + serialization
-            nbytes += bytes_count
-            transfers += 1
-            return busy_until + propagation
-
-        def transfer_seq(bytes_count: int, starts, offset_ns: float = 0.0) -> list:
-            """One equal-size transfer per ``starts[i] + offset_ns``, in order.
-
-            Batch counterpart of calling ``transfer`` once per start time;
-            the loop body is the exact ``transfer`` arithmetic, so arrival
-            times and link state are bit-identical.
-            """
-            nonlocal busy_until, queued, nbytes, transfers
-            serialization = bytes_count / bandwidth
-            arrivals = []
-            append = arrivals.append
-            busy = busy_until
-            wait = queued
-            for arrival in starts:
-                start_ns = arrival + offset_ns
-                begin = start_ns if start_ns > busy else busy
-                wait += begin - start_ns
-                busy = begin + serialization
-                append(busy + propagation)
-            busy_until = busy
-            queued = wait
-            nbytes += bytes_count * len(starts)
-            transfers += len(starts)
-            return arrivals
-
-        def snapshot():
-            return busy_until, queued, nbytes, transfers
-
-        return transfer, transfer_seq, snapshot
-
-    def sync(self) -> None:
-        """Write the kernel's state and counters back into the link."""
-        busy_until, queued, nbytes, transfers = self._snapshot()
-        link = self._link
-        link._busy_until_ns = busy_until
-        link._queued_ns += queued
-        link._bytes_transferred += nbytes
-        link._transfers += transfers
-        self.transfer, self.transfer_seq, self._snapshot = self._build()
-
-
-__all__ = ["CXLLink", "LinkKernel"]
+__all__ = ["CXLLink"]

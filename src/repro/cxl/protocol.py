@@ -3,8 +3,8 @@
 Only the fields that influence behaviour are modelled.  The enhanced
 instruction format of Fig 9 (sumtag, SumCandidateCount, vectorsize, SPID
 rewrite) lives in :mod:`repro.pifs.instructions`; this module defines the
-standard opcodes and message containers shared by hosts, switches and
-devices.
+standard opcodes and the CXL.mem message containers shared by hosts,
+switches and devices.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import count
-from typing import Optional
 
 _MESSAGE_IDS = count()
 
@@ -36,11 +35,6 @@ class MemOpcode(IntEnum):
     PIFS_CONFIG = 0b1111
 
 
-def is_pifs_opcode(opcode: MemOpcode) -> bool:
-    """Return True when ``opcode`` must be routed to the process core."""
-    return opcode in (MemOpcode.PIFS_DATA_FETCH, MemOpcode.PIFS_CONFIG)
-
-
 @dataclass
 class CXLMemM2S:
     """A CXL.mem master-to-subordinate request."""
@@ -58,9 +52,6 @@ class CXLMemM2S:
     issue_ns: float = 0.0
     message_id: int = field(default_factory=lambda: next(_MESSAGE_IDS))
 
-    def is_pifs(self) -> bool:
-        return is_pifs_opcode(self.opcode)
-
 
 @dataclass
 class CXLMemS2M:
@@ -73,25 +64,4 @@ class CXLMemS2M:
     data_bytes: int = 64
 
 
-@dataclass
-class CXLCacheD2H:
-    """A CXL.cache device-to-host message.
-
-    PIFS-Rec uses D2H writes to place the accumulated result at the address
-    the host reserved and snoops (§IV-A2, step 4).
-    """
-
-    address: int
-    payload_bytes: int
-    finish_ns: float
-    sumtag: int = 0
-    source_switch: Optional[int] = None
-
-
-__all__ = [
-    "MemOpcode",
-    "is_pifs_opcode",
-    "CXLMemM2S",
-    "CXLMemS2M",
-    "CXLCacheD2H",
-]
+__all__ = ["MemOpcode", "CXLMemM2S", "CXLMemS2M"]

@@ -201,7 +201,9 @@ class SwitchPortKernel:
     a :class:`~repro.cxl.device.CXLDeviceKernel`), upstream data return —
     with the port-link state held in locals.  ``transfer`` exposes the raw
     upstream link for flows that serialize other message types on the same
-    port (the PIFS instruction stream).
+    port (the PIFS instruction stream).  ``transfer`` and ``transfer_stream``
+    repeat the arithmetic of :meth:`~repro.cxl.link.CXLLink.transfer`, the
+    reference the engine equivalence suite pins every kernel against.
     """
 
     def __init__(self, switch: FabricSwitch, port: SwitchPort, row_bytes: int, forwarded_cell) -> None:

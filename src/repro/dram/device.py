@@ -13,9 +13,6 @@ times are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
 
 from repro.config import CACHE_LINE_BYTES, DRAMConfig
 from repro.dram.controller import DRAMController
@@ -117,9 +114,7 @@ class DRAMKernel:
         self._device = device
         self._controller = device.controller
         self._channels = self._controller.channels
-        config = self._controller.config
-        timings = config.timings
-        self._banks_per_channel = config.ranks_per_channel * config.banks_per_rank
+        timings = self._controller.config.timings
         self._bytes_requested = bytes_requested
         self._bursts = max(1, (bytes_requested + CACHE_LINE_BYTES - 1) // CACHE_LINE_BYTES)
         # Flattened state, exposed so composing kernels (the CXL device
@@ -287,27 +282,6 @@ class DRAMKernel:
             return finish
 
         return bag
-
-    def access_batch(self, addresses: np.ndarray, arrival_ns) -> np.ndarray:
-        """Service a batch of reads in order; returns per-access finish times.
-
-        ``arrival_ns`` is a scalar (all requests arrive together) or one
-        arrival per address.  Equivalent to the scalar
-        ``DRAMDevice.access`` loop, with the decode done as one numpy pass.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        channel, flat_bank, row = self.mapping.decode_flat_batch(addresses)
-        arrivals = np.broadcast_to(
-            np.asarray(arrival_ns, dtype=np.float64), addresses.shape
-        )
-        access = self.access
-        finishes = [
-            access(ch, fb, rw, at)
-            for ch, fb, rw, at in zip(
-                channel.tolist(), flat_bank.tolist(), row.tolist(), arrivals.tolist()
-            )
-        ]
-        return np.asarray(finishes, dtype=np.float64)
 
     def sync(self) -> None:
         """Write the kernel's evolved state and statistics back to the device."""

@@ -111,13 +111,5 @@ class InterleaveAllocator:
             placement[page] = node.node_id
         return placement
 
-    def spill_nodes(self) -> List[MemoryNode]:
-        """The nodes receiving spilled (non-local) pages under this policy."""
-        if self._policy is PlacementPolicy.REMOTE_FRACTION:
-            return list(self._remote)
-        if self._policy in (PlacementPolicy.CXL_FRACTION, PlacementPolicy.INTERLEAVE, PlacementPolicy.CXL_ONLY):
-            return list(self._cxl)
-        return []
-
 
 __all__ = ["InterleaveAllocator", "PlacementPolicy"]

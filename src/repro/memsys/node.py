@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Tuple
 
@@ -37,7 +37,6 @@ class MemoryNode:
     name: str = ""
     used_bytes: int = 0
     access_count: int = 0
-    bytes_served: int = 0
     busy_until_ns: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,33 +81,10 @@ class MemoryNode:
         matters.
         """
         self.access_count += 1
-        self.bytes_served += bytes_requested
         serialization = bytes_requested / self.bandwidth_gbps
         begin = max(start_ns, self.busy_until_ns)
         self.busy_until_ns = begin + serialization
         return begin + serialization + self.base_latency_ns
-
-    def serve_batch(self, start_ns: Sequence[float], bytes_requested: int = CACHE_LINE_BYTES) -> np.ndarray:
-        """Serve a batch of accesses; returns the per-access finish times.
-
-        Semantically identical to calling :meth:`serve` once per entry of
-        ``start_ns`` in order (the shared-bandwidth serialization chains
-        through the batch), with the per-call overhead paid once.
-        """
-        starts = [float(s) for s in np.asarray(start_ns, dtype=np.float64)]
-        serialization = bytes_requested / self.bandwidth_gbps
-        base = self.base_latency_ns
-        busy = self.busy_until_ns
-        finishes = []
-        append = finishes.append
-        for start in starts:
-            begin = start if start > busy else busy
-            busy = begin + serialization
-            append(busy + base)
-        self.access_count += len(starts)
-        self.bytes_served += bytes_requested * len(starts)
-        self.busy_until_ns = busy
-        return np.asarray(finishes, dtype=np.float64)
 
 
 def placement_arrays(

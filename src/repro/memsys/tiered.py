@@ -28,13 +28,6 @@ class MigrationStats:
     """Aggregate migration accounting."""
 
     migrations: int = 0
-    total_cost_ns: float = 0.0
-    blocked_row_accesses: int = 0
-
-    def record(self, cost_ns: float, blocked_rows: int) -> None:
-        self.migrations += 1
-        self.total_cost_ns += cost_ns
-        self.blocked_row_accesses += blocked_rows
 
 
 class TieredMemorySystem:
@@ -59,6 +52,12 @@ class TieredMemorySystem:
     PAGE_BLOCK_OVERHEAD_NS = 1500.0
     #: Extra fixed overhead of the cache-line-granular migration controller.
     CACHELINE_BLOCK_OVERHEAD_NS = 100.0
+    #: Share of an epoch's migration cost that queries see as a stall, per
+    #: migration mode.  Cache-line-block migration stages only the in-flight
+    #: line in the switch, so it barely blocks query processing; OS
+    #: page-block migration makes the whole page inaccessible and stalls the
+    #: queries that touch it for a sizeable fraction of the copy.
+    STALL_FRACTION = {"page_block": 0.25, "cacheline_block": 0.05}
 
     def __init__(
         self,
@@ -239,26 +238,13 @@ class TieredMemorySystem:
             return copy_cost + self.PAGE_BLOCK_OVERHEAD_NS
         return copy_cost + self.CACHELINE_BLOCK_OVERHEAD_NS
 
-    def blocked_rows_per_migration(self, row_bytes: int, mode: Optional[str] = None) -> int:
-        """How many row vectors are made inaccessible during one migration.
-
-        With OS page-block migration every row in the page is blocked; with
-        the cache-line-block mechanism only the rows sharing the in-flight
-        cache line are blocked.
-        """
-        mode = mode or self._migration_mode
-        rows_per_page = max(1, PAGE_SIZE_BYTES // row_bytes)
-        if mode == "page_block":
-            return rows_per_page
-        rows_per_line = max(1, CACHE_LINE_BYTES // row_bytes)
-        return min(rows_per_page, rows_per_line)
+    def migration_stall_ns(self, cost_ns: float, mode: Optional[str] = None) -> float:
+        """The query-visible stall of migrations costing ``cost_ns`` under
+        ``mode`` (default: configured); see :attr:`STALL_FRACTION`."""
+        return cost_ns * self.STALL_FRACTION[mode or self._migration_mode]
 
     def migrate_page(
-        self,
-        page_id: int,
-        dst_node_id: int,
-        row_bytes: int = 64,
-        mode: Optional[str] = None,
+        self, page_id: int, dst_node_id: int, mode: Optional[str] = None
     ) -> MigrationRecord:
         """Migrate ``page_id`` to ``dst_node_id``; returns the event record."""
         if dst_node_id not in self._nodes:
@@ -275,10 +261,10 @@ class TieredMemorySystem:
         self._nodes[src_node_id].release(PAGE_SIZE_BYTES)
         self._node[page_id] = dst_node_id
         self._generation += 1
-        self._migration_stats.record(cost, self.blocked_rows_per_migration(row_bytes, mode))
+        self._migration_stats.migrations += 1
         return MigrationRecord(page_id, src_node_id, dst_node_id, cost, mode)
 
-    def swap_pages(self, page_a: int, page_b: int, row_bytes: int = 64) -> List[MigrationRecord]:
+    def swap_pages(self, page_a: int, page_b: int) -> List[MigrationRecord]:
         """Swap the placements of two pages (claim & swap, Fig 10a)."""
         node_a = self._node_id(page_a)
         node_b = self._node_id(page_b)
@@ -291,14 +277,11 @@ class TieredMemorySystem:
         self._node[page_b] = node_a
         self._generation += 1
         cost = self.migration_cost_ns()
-        blocked = self.blocked_rows_per_migration(row_bytes)
-        records = [
+        self._migration_stats.migrations += 2
+        return [
             MigrationRecord(page_a, node_a, node_b, cost, self._migration_mode),
             MigrationRecord(page_b, node_b, node_a, cost, self._migration_mode),
         ]
-        for record in records:
-            self._migration_stats.record(record.cost_ns, blocked)
-        return records
 
     # ------------------------------------------------------------------
     # Maintenance

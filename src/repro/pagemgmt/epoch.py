@@ -11,15 +11,15 @@ def run_page_management_epoch(
     tiered: TieredMemorySystem,
     hotness: GlobalHotnessPolicy,
     spreading: SpreadingPolicy,
-    row_bytes: int,
 ) -> float:
     """Claim-&-swap, then spreading, then halve the hotness counts.
 
     Returns the epoch's migration cost in ns; the caller books it and
-    charges its own share of it as a stall.
+    charges its share of it as a stall
+    (:meth:`~repro.memsys.tiered.TieredMemorySystem.migration_stall_ns`).
     """
-    swap = hotness.run_epoch(tiered, row_bytes=row_bytes)
-    balance = spreading.rebalance(tiered, row_bytes=row_bytes)
+    swap = hotness.run_epoch(tiered)
+    balance = spreading.rebalance(tiered)
     tiered.decay_hotness(0.5)
     return swap.cost_ns + balance.cost_ns
 

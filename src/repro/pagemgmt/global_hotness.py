@@ -61,7 +61,7 @@ class GlobalHotnessPolicy:
             tiered.ranked_pages(tiered.pages_in(MemoryTier.CXL), k, hottest=True),
         )
 
-    def run_epoch(self, tiered: TieredMemorySystem, row_bytes: int = 64) -> SwapOutcome:
+    def run_epoch(self, tiered: TieredMemorySystem) -> SwapOutcome:
         """Perform up to ``max_swaps_per_epoch`` claim-&-swap exchanges."""
         local_pages, cxl_pages = self._candidates(tiered)
         promotions = 0
@@ -77,7 +77,7 @@ class GlobalHotnessPolicy:
                 break
             if self.regions.is_claimed_by_other(hot_page_id):
                 continue
-            records = tiered.swap_pages(hot_page_id, cold_page_id, row_bytes=row_bytes)
+            records = tiered.swap_pages(hot_page_id, cold_page_id)
             if not records:
                 continue
             cost += sum(r.cost_ns for r in records)

@@ -11,7 +11,7 @@ procedure iterates until the access frequencies are balanced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.config import PAGE_SIZE_BYTES
 from repro.memsys.node import MemoryNode, MemoryTier
@@ -69,7 +69,7 @@ class SpreadingPolicy:
             return None
         return min(candidates, key=lambda n: n.access_count)
 
-    def rebalance(self, tiered: TieredMemorySystem, row_bytes: int = 64) -> RebalanceOutcome:
+    def rebalance(self, tiered: TieredMemorySystem) -> RebalanceOutcome:
         """Run the redistribution procedure; returns migrations and their cost."""
         migrations = 0
         cost = 0.0
@@ -99,11 +99,11 @@ class SpreadingPolicy:
                         )
                         if not coldest:
                             break
-                        records = tiered.swap_pages(page_id, coldest[0][0], row_bytes=row_bytes)
+                        records = tiered.swap_pages(page_id, coldest[0][0])
                         cost += sum(r.cost_ns for r in records)
                         migrations += len(records)
                     else:
-                        record = tiered.migrate_page(page_id, destination.node_id, row_bytes=row_bytes)
+                        record = tiered.migrate_page(page_id, destination.node_id)
                         cost += record.cost_ns
                         migrations += 1
                     moved_any = True

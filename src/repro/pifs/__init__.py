@@ -8,24 +8,22 @@ The package implements the hardware and software architecture of §IV:
   Hottest-Recording (HTR), LRU and FIFO replacement policies (§IV-A4).
 * :mod:`repro.pifs.ooo` — the out-of-order accumulation engine with swap
   registers and SRAM spill (§IV-A5).
-* :mod:`repro.pifs.process_core` — the Process Core: instruction decode,
-  Instruction Ingress Registry, Accumulate Configuration Register with
-  capacity back-pressure, and the accumulate logic (§IV-A2/A3).
-* :mod:`repro.pifs.fm_endpoint` — the FM Endpoint Extension: memory
-  indexing, per-device I/O access counters, and the migration controller
-  used for cache-line granular migration (§IV-A1, §IV-B4).  HTR counts its
-  rows in the on-switch buffer itself.
+* :mod:`repro.pifs.process_core` — the Process Core: instruction decode and
+  repacking, the Accumulate Configuration Register with capacity
+  back-pressure, and the accumulate logic (§IV-A2/A3).
 * :mod:`repro.pifs.switch` — the PIFS fabric switch combining all of the
-  above on top of the base CXL switch.
+  above on top of the base CXL switch.  HTR counts its rows in the
+  on-switch buffer itself, and the cache-line-block migration of §IV-B4 is
+  priced by the page table
+  (:meth:`~repro.memsys.tiered.TieredMemorySystem.migration_cost_ns`).
 * :mod:`repro.pifs.forwarding` — multi-layer instruction forwarding across
-  switches with Sub-SumCandidateCounters and the CNV capability bit (§IV-C).
+  switches: the sub-sum return trip and the CNV capability bit (§IV-C).
 * :mod:`repro.pifs.host` — the host-side flow: SumCandidateCounter
   computation, instruction issue and result snooping (§IV-A2).
 * :mod:`repro.pifs.runtime` — the user-space SLS API (§IV-D).
 """
 
-from repro.pifs.fm_endpoint import FMEndpointExtension
-from repro.pifs.forwarding import ForwardController, MultiSwitchCoordinator
+from repro.pifs.forwarding import MultiSwitchCoordinator
 from repro.pifs.host import PIFSHost
 from repro.pifs.instructions import PIFSInstruction, repack_instruction
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
@@ -35,8 +33,6 @@ from repro.pifs.runtime import PIFSRuntime, SLSCallResult
 from repro.pifs.switch import PIFSSwitch
 
 __all__ = [
-    "FMEndpointExtension",
-    "ForwardController",
     "MultiSwitchCoordinator",
     "PIFSHost",
     "PIFSInstruction",

@@ -2,77 +2,20 @@
 
 In a scaled-out fabric every switch owns a local host and local Type 3
 memory.  A row-accumulation request whose candidates span several switches
-is split: each remote switch accumulates its local candidates (tracking a
-Sub-SumCandidateCounter) and forwards only the partial sum back to the local
-switch, whose forward controller combines sub-sums once every candidate has
-been processed.  Switches without a process core (CNV = 0) forward raw rows
-instead, and the local switch accumulates them itself.
+is split: each remote switch accumulates its local candidates and forwards
+only the partial sum back to the local switch, which combines the sub-sums
+once every one has arrived, so the latest return trip decides.  Switches
+without a process core (CNV = 0) forward raw rows instead, and the local
+switch accumulates them itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.config import CXLConfig
 from repro.cxl.topology import FabricTopology
 from repro.net.packet import Priority
-
-
-@dataclass
-class SubSumRecord:
-    """Tracking record for one remote switch's contribution to a sumtag."""
-
-    switch_id: int
-    sub_candidate_count: int
-    completed: bool = False
-    arrival_ns: float = 0.0
-
-
-@dataclass
-class ForwardDecision:
-    """The forward controller's verdict once sub-results arrive."""
-
-    complete: bool
-    forward_ns: float
-    missing_switches: List[int] = field(default_factory=list)
-
-
-class ForwardController:
-    """Per-sumtag tracking of sub-sums expected from remote switches."""
-
-    def __init__(self) -> None:
-        self._expected: Dict[int, Dict[int, SubSumRecord]] = {}
-
-    def expect(self, sumtag: int, switch_id: int, sub_candidate_count: int) -> None:
-        """Register that ``switch_id`` owes ``sub_candidate_count`` candidates."""
-        if sub_candidate_count <= 0:
-            raise ValueError("sub_candidate_count must be positive")
-        self._expected.setdefault(sumtag, {})[switch_id] = SubSumRecord(
-            switch_id=switch_id, sub_candidate_count=sub_candidate_count
-        )
-
-    def record_arrival(self, sumtag: int, switch_id: int, arrival_ns: float) -> ForwardDecision:
-        """Record a sub-sum arrival; decide whether the result can be forwarded."""
-        records = self._expected.get(sumtag)
-        if records is None or switch_id not in records:
-            raise KeyError(f"sumtag {sumtag} does not expect switch {switch_id}")
-        record = records[switch_id]
-        record.completed = True
-        record.arrival_ns = arrival_ns
-        missing = [r.switch_id for r in records.values() if not r.completed]
-        if missing:
-            return ForwardDecision(complete=False, forward_ns=arrival_ns, missing_switches=missing)
-        forward_ns = max(r.arrival_ns for r in records.values())
-        return ForwardDecision(complete=True, forward_ns=forward_ns)
-
-    def discard(self, sumtag: int) -> None:
-        """Discard tracking state (e.g. after a data-transfer error)."""
-        self._expected.pop(sumtag, None)
-
-    def outstanding(self, sumtag: int) -> int:
-        records = self._expected.get(sumtag, {})
-        return sum(1 for r in records.values() if not r.completed)
 
 
 class MultiSwitchCoordinator:
@@ -91,7 +34,6 @@ class MultiSwitchCoordinator:
         if len(compute_capable) != topology.num_switches:
             raise ValueError("compute_capable must have one flag per switch")
         self._cnv = list(compute_capable)
-        self.forward_controller = ForwardController()
         # Packet-tier hop channel (``fidelity="packet"``): a PortQueue that
         # treats a sub-sum's round trip as holding one buffer credit from
         # admission until it lands back at the home switch.
@@ -121,10 +63,6 @@ class MultiSwitchCoordinator:
         self._hop_port = port
         self._hop_bytes = int(bytes_hint)
 
-    @property
-    def hop_port(self):
-        return self._hop_port
-
     def return_trip_ns(self, home_switch_id: int, remote_switch_id: int, ready_ns: float) -> float:
         """When a remote sub-sum ready at ``ready_ns`` lands at the home switch.
 
@@ -152,13 +90,6 @@ class MultiSwitchCoordinator:
         once per (src, dst) pair per session, not once per request.
         """
         return self._topology.hop_latency_ns(src, dst)
-
-    def partition_rows(self, row_switches: Sequence[int]) -> Dict[int, int]:
-        """Count row candidates per owning switch."""
-        counts: Dict[int, int] = {}
-        for switch_id in row_switches:
-            counts[switch_id] = counts.get(switch_id, 0) + 1
-        return counts
 
     def remote_accumulation_time(
         self,
@@ -191,4 +122,4 @@ class MultiSwitchCoordinator:
         return request_arrival + per_row_fetch_ns + hop_ns + stream_ns
 
 
-__all__ = ["ForwardController", "ForwardDecision", "MultiSwitchCoordinator", "SubSumRecord"]
+__all__ = ["MultiSwitchCoordinator"]

@@ -11,9 +11,7 @@ address until the switch's D2H writeback lands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.config import SystemConfig
 from repro.memsys.tiered import TieredMemorySystem
@@ -31,16 +29,6 @@ class CandidateSplit:
     def sum_candidate_count(self) -> int:
         """The SumCandidateCounter configured into the fabric switch."""
         return len(self.remote_addresses)
-
-
-@dataclass
-class HostStats:
-    """Host-side accounting."""
-
-    local_rows: int = 0
-    remote_rows: int = 0
-    snoop_polls: int = 0
-    results_combined: int = 0
 
 
 class PIFSHost:
@@ -61,7 +49,6 @@ class PIFSHost:
     def __init__(self, host_id: int, system: SystemConfig) -> None:
         self.host_id = host_id
         self.system = system
-        self.stats = HostStats()
 
     # ------------------------------------------------------------------
     def split_candidates(
@@ -76,8 +63,6 @@ class PIFSHost:
                 local.append(int(address))
             else:
                 remote.append(int(address))
-        self.stats.local_rows += len(local)
-        self.stats.remote_rows += len(remote)
         return CandidateSplit(local_addresses=local, remote_addresses=remote)
 
     # ------------------------------------------------------------------
@@ -108,10 +93,8 @@ class PIFSHost:
 
     def combine(self, local_done_ns: float, remote_done_ns: float) -> float:
         """Combine the local partial sum with the snooped switch result."""
-        self.stats.snoop_polls += 1
-        self.stats.results_combined += 1
         remote_visible = remote_done_ns + self.SNOOP_DETECT_NS
         return max(local_done_ns, remote_visible) + self.COMBINE_NS
 
 
-__all__ = ["PIFSHost", "CandidateSplit", "HostStats"]
+__all__ = ["PIFSHost", "CandidateSplit"]

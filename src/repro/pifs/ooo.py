@@ -12,31 +12,17 @@ on-switch SRAM, costing extra cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.config import PIFSConfig
-
-
-@dataclass
-class AccumulationState:
-    """Bookkeeping for one in-flight accumulation (one sumtag)."""
-
-    sumtag: int
-    remaining: int
-    accumulated: int = 0
-    result_address: int = 0
 
 
 @dataclass
 class OoOStats:
     """Cycle accounting of the accumulation engine."""
 
-    elements: int = 0
-    switch_events: int = 0
-    swap_spills: int = 0
     stall_cycles: float = 0.0
-    busy_cycles: float = 0.0
 
 
 class OutOfOrderAccumulator:
@@ -72,7 +58,6 @@ class OutOfOrderAccumulator:
         if self._active_sumtag is None:
             self._active_sumtag = sumtag
         elif self._active_sumtag != sumtag:
-            self._stats.switch_events += 1
             if self._out_of_order:
                 # Move the current partial sum to a swap register (half cycle)
                 # unless all swap registers are full, in which case it spills
@@ -81,7 +66,6 @@ class OutOfOrderAccumulator:
                     self._swap_occupancy += 1
                     cycles += cfg.swap_cycles * 0.5
                 else:
-                    self._stats.swap_spills += 1
                     cycles += cfg.sram_spill_cycles
                 self._active_sumtag = sumtag
             else:
@@ -91,8 +75,6 @@ class OutOfOrderAccumulator:
                 self._stats.stall_cycles += stall
                 cycles += stall
                 self._active_sumtag = sumtag
-        self._stats.elements += 1
-        self._stats.busy_cycles += cycles
         return cycles * self.cycle_ns
 
     def finish_sumtag(self, sumtag: int) -> None:
@@ -108,4 +90,4 @@ class OutOfOrderAccumulator:
         self._stats = OoOStats()
 
 
-__all__ = ["OutOfOrderAccumulator", "AccumulationState", "OoOStats"]
+__all__ = ["OutOfOrderAccumulator", "OoOStats"]

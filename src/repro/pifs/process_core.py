@@ -8,42 +8,18 @@ back-pressure when the ACR is full, and drives the accumulate logic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import PIFSConfig
-from repro.cxl.protocol import MemOpcode
 from repro.pifs.instructions import PIFSInstruction
 from repro.pifs.ooo import OutOfOrderAccumulator
-
-
-@dataclass
-class ACREntry:
-    """One Accumulate Configuration Register entry (one sumtag)."""
-
-    sumtag: int
-    result_address: int
-    sum_candidate_count: int
-    remaining: int
-    accumulated: int = 0
-    configured_ns: float = 0.0
-    last_update_ns: float = 0.0
-
-    @property
-    def complete(self) -> bool:
-        return self.remaining == 0
 
 
 @dataclass
 class ProcessCoreStats:
     """Counters exposed by the process core."""
 
-    decoded_instructions: int = 0
-    repacked_instructions: int = 0
-    bypassed_instructions: int = 0
-    configured_sumtags: int = 0
-    completed_sumtags: int = 0
-    backpressure_events: int = 0
     backpressure_ns: float = 0.0
 
 
@@ -52,10 +28,11 @@ class ProcessCore:
 
     def __init__(self, config: PIFSConfig, out_of_order: Optional[bool] = None) -> None:
         self._config = config
-        self._acr: Dict[int, ACREntry] = {}
+        # The Accumulate Configuration Register: sumtag -> candidates still
+        # to accumulate.
+        self._acr: Dict[int, int] = {}
         self._accumulator = OutOfOrderAccumulator(config, out_of_order=out_of_order)
         self._stats = ProcessCoreStats()
-        self._ingress_registry: Dict[int, PIFSInstruction] = {}
         # Earliest time a new sumtag can be admitted when the ACR is full.
         self._earliest_free_ns = 0.0
 
@@ -104,47 +81,16 @@ class ProcessCore:
         """
         return float(self._config.accumulate_cycles_per_element) * self.cycle_ns
 
-    def apply_accumulation_batch(
-        self,
-        accumulations: int,
-        elements: int,
-        last_retire_ns: float,
-    ) -> None:
-        """Fold the bookkeeping of ``accumulations`` completed in-switch
-        accumulations (``elements`` rows in total) into the core's counters.
+    def apply_accumulation_batch(self, last_retire_ns: float) -> None:
+        """Fold the retire time of the batched switch kernel's last
+        accumulation into the earliest-free watermark.
 
-        The batched switch kernel performs the timing inline and leaves the
-        ACR/ingress registry in their between-accumulation state (empty), so
-        only the statistics and the earliest-free watermark need updating.
+        The kernel performs the timing inline and leaves the ACR in its
+        between-accumulation state (empty), so the watermark is the only
+        state to update.
         """
-        self._stats.decoded_instructions += accumulations + elements
-        self._stats.repacked_instructions += elements
-        self._stats.configured_sumtags += accumulations
-        self._stats.completed_sumtags += accumulations
-        accumulator_stats = self._accumulator.stats
-        accumulator_stats.elements += elements
-        accumulator_stats.busy_cycles += (
-            float(self._config.accumulate_cycles_per_element) * elements
-        )
         if last_retire_ns > self._earliest_free_ns:
             self._earliest_free_ns = last_retire_ns
-
-    def acr_entry(self, sumtag: int) -> Optional[ACREntry]:
-        return self._acr.get(sumtag)
-
-    # ------------------------------------------------------------------
-    # MemOpcode checker
-    # ------------------------------------------------------------------
-    def check_opcode(self, opcode: MemOpcode) -> bool:
-        """Return True when the instruction must be handled by the PC.
-
-        Standard instructions bypass the core and are routed straight to the
-        VCS (the caller forwards them like a conventional switch).
-        """
-        handled = opcode in (MemOpcode.PIFS_DATA_FETCH, MemOpcode.PIFS_CONFIG)
-        if not handled:
-            self._stats.bypassed_instructions += 1
-        return handled
 
     # ------------------------------------------------------------------
     # Configuration path
@@ -160,20 +106,10 @@ class ProcessCore:
         ready = now_ns
         if len(self._acr) >= self._config.acr_capacity:
             wait_until = max(self._earliest_free_ns, now_ns + self.cycle_ns)
-            self._stats.backpressure_events += 1
             self._stats.backpressure_ns += wait_until - now_ns
             ready = wait_until
         ready += self._config.decode_cycles * self.cycle_ns
-        self._stats.decoded_instructions += 1
-        self._stats.configured_sumtags += 1
-        self._acr[instruction.sumtag] = ACREntry(
-            sumtag=instruction.sumtag,
-            result_address=instruction.address,
-            sum_candidate_count=instruction.sum_candidate_count,
-            remaining=instruction.sum_candidate_count,
-            configured_ns=ready,
-            last_update_ns=ready,
-        )
+        self._acr[instruction.sumtag] = instruction.sum_candidate_count
         return ready
 
     # ------------------------------------------------------------------
@@ -185,15 +121,8 @@ class ProcessCore:
             raise ValueError("register_fetch() expects a PIFS_DATA_FETCH instruction")
         if instruction.sumtag not in self._acr:
             raise KeyError(f"sumtag {instruction.sumtag} was never configured")
-        self._ingress_registry[instruction.address] = instruction
-        self._stats.decoded_instructions += 1
-        self._stats.repacked_instructions += 1
         cycles = self._config.decode_cycles + self._config.repack_cycles
         return now_ns + cycles * self.cycle_ns
-
-    def match_ingress(self, address: int) -> Optional[PIFSInstruction]:
-        """Match returning data against the Instruction Ingress Registry."""
-        return self._ingress_registry.get(address)
 
     def accumulate(self, sumtag: int, data_ready_ns: float, elements: int = 1) -> float:
         """Accumulate ``elements`` row vectors of ``sumtag`` arriving at ``data_ready_ns``.
@@ -202,47 +131,35 @@ class ProcessCore:
         ACR entry's remaining counter is decremented once per element; the
         caller checks :meth:`is_complete` to detect completion.
         """
-        entry = self._acr.get(sumtag)
-        if entry is None:
+        remaining = self._acr.get(sumtag)
+        if remaining is None:
             raise KeyError(f"sumtag {sumtag} was never configured")
         busy_ns = 0.0
         for _ in range(elements):
             busy_ns += self._accumulator.accumulate_element(sumtag)
-            if entry.remaining > 0:
-                entry.remaining -= 1
-            entry.accumulated += 1
-        done = data_ready_ns + busy_ns
-        entry.last_update_ns = max(entry.last_update_ns, done)
-        return done
+        self._acr[sumtag] = max(0, remaining - elements)
+        return data_ready_ns + busy_ns
 
     def is_complete(self, sumtag: int) -> bool:
-        entry = self._acr.get(sumtag)
-        return entry is not None and entry.complete
+        return self._acr.get(sumtag) == 0
 
-    def retire(self, sumtag: int, now_ns: float) -> ACREntry:
+    def retire(self, sumtag: int, now_ns: float) -> None:
         """Retire a completed accumulation and free its ACR slot."""
-        entry = self._acr.pop(sumtag, None)
-        if entry is None:
+        remaining = self._acr.pop(sumtag, None)
+        if remaining is None:
             raise KeyError(f"sumtag {sumtag} is not active")
-        if entry.remaining != 0:
+        if remaining != 0:
             raise RuntimeError(
-                f"sumtag {sumtag} retired with {entry.remaining} candidates outstanding"
+                f"sumtag {sumtag} retired with {remaining} candidates outstanding"
             )
         self._accumulator.finish_sumtag(sumtag)
-        self._stats.completed_sumtags += 1
         self._earliest_free_ns = max(self._earliest_free_ns, now_ns)
-        # Drop ingress-registry entries belonging to this sumtag.
-        stale = [addr for addr, ins in self._ingress_registry.items() if ins.sumtag == sumtag]
-        for addr in stale:
-            del self._ingress_registry[addr]
-        return entry
 
     def reset(self) -> None:
         self._acr.clear()
-        self._ingress_registry.clear()
         self._accumulator.reset()
         self._stats = ProcessCoreStats()
         self._earliest_free_ns = 0.0
 
 
-__all__ = ["ProcessCore", "ProcessCoreStats", "ACREntry"]
+__all__ = ["ProcessCore", "ProcessCoreStats"]

@@ -1,8 +1,8 @@
 """The PIFS fabric switch: a CXL fabric switch with a process core.
 
 The switch combines the base :class:`~repro.cxl.switch.FabricSwitch` with
-the process core, the FM endpoint extension and the on-switch buffer, and
-implements the full in-switch accumulation flow of Fig 8:
+the process core and the on-switch buffer, and implements the full
+in-switch accumulation flow of Fig 8:
 
 1. the host issues one configuration instruction (SumCandidateCount + the
    reserved result address) and one data-fetch instruction per row candidate;
@@ -17,13 +17,12 @@ implements the full in-switch accumulation flow of Fig 8:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 from repro.config import CXLConfig, PIFSConfig
-from repro.cxl.protocol import CXLCacheD2H, MemOpcode
+from repro.cxl.protocol import MemOpcode
 from repro.cxl.switch import FabricSwitch, FabricSwitchKernel, SwitchPort
-from repro.pifs.fm_endpoint import FMEndpointExtension
 from repro.pifs.instructions import PIFSInstruction, encode_vector_size, repack_instruction
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
 from repro.pifs.process_core import ProcessCore
@@ -46,13 +45,8 @@ class RowFetch:
 class AccumulationOutcome:
     """Result of one in-switch accumulation."""
 
-    sumtag: int
     result_ready_ns: float
     host_notified_ns: float
-    buffer_hits: int
-    buffer_misses: int
-    device_rows: Dict[int, int]
-    writeback: CXLCacheD2H
 
 
 class PIFSSwitch(FabricSwitch):
@@ -76,7 +70,6 @@ class PIFSSwitch(FabricSwitch):
         self._compute_enabled = compute_enabled and pifs_config.process_core
         self.process_core = ProcessCore(pifs_config)
         self.buffer = OnSwitchBuffer(pifs_config.on_switch_buffer, row_bytes)
-        self.fm_extension = FMEndpointExtension()
         self._next_sumtag = 0
 
     # ------------------------------------------------------------------
@@ -137,9 +130,6 @@ class PIFSSwitch(FabricSwitch):
         configured_ns = self.process_core.configure(config_instr, config_at_switch)
 
         # Step 2: one data-fetch instruction per row, pipelined on the link.
-        buffer_hits = 0
-        buffer_misses = 0
-        device_rows: Dict[int, int] = {}
         last_done = configured_ns
         for row in rows:
             fetch = PIFSInstruction.data_fetch(
@@ -161,12 +151,9 @@ class PIFSSwitch(FabricSwitch):
             ready_to_issue += per_row_overhead_ns
 
             # Step 3: on-switch buffer lookup, then device fetch on a miss.
-            self.fm_extension.record_device_access(row.device_id)
             if self.buffer.lookup(row.address):
-                buffer_hits += 1
                 data_ready = ready_to_issue + self.buffer.hit_latency_ns()
             else:
-                buffer_misses += 1
                 repacked = repack_instruction(
                     fetch,
                     switch_spid=self.SWITCH_SPID,
@@ -181,7 +168,6 @@ class PIFSSwitch(FabricSwitch):
                     from_switch=True,
                 )
                 self.buffer.insert(row.address)
-            device_rows[row.device_id] = device_rows.get(row.device_id, 0) + 1
 
             # Step 4: accumulate the arriving row.
             done = self.process_core.accumulate(tag, data_ready)
@@ -198,22 +184,7 @@ class PIFSSwitch(FabricSwitch):
             )
         else:
             notified = last_done
-        writeback = CXLCacheD2H(
-            address=result_address,
-            payload_bytes=self._row_bytes,
-            finish_ns=notified,
-            sumtag=tag,
-            source_switch=self.switch_id,
-        )
-        return AccumulationOutcome(
-            sumtag=tag,
-            result_ready_ns=last_done,
-            host_notified_ns=notified,
-            buffer_hits=buffer_hits,
-            buffer_misses=buffer_misses,
-            device_rows=device_rows,
-            writeback=writeback,
-        )
+        return AccumulationOutcome(result_ready_ns=last_done, host_notified_ns=notified)
 
     def batch_kernel(self, row_bytes: int) -> "PIFSSwitchKernel":
         """A flattened accumulate kernel over this switch (batch engine)."""
@@ -222,7 +193,6 @@ class PIFSSwitch(FabricSwitch):
     def reset(self) -> None:
         super().reset()
         self.process_core.reset()
-        self.fm_extension.reset_counters()
         self.buffer.reset_stats()
 
 
@@ -231,13 +201,13 @@ class PIFSSwitchKernel(FabricSwitchKernel):
 
     :meth:`accumulate` replays the scalar :meth:`PIFSSwitch.accumulate` flow
     — configuration flit, per-row fetch instruction on the upstream link,
-    FM-endpoint I/O counting, on-switch buffer lookup, device fetch on a miss,
-    accumulate-logic busy time, result writeback — using the port/device/
-    buffer kernels and plain float arithmetic.  Timing and all observable
-    state (buffer contents and statistics, device counters, process-core
-    statistics, sumtag sequence) match the scalar path exactly; the
-    transient ACR/ingress-registry entries, which every scalar accumulation
-    creates and retires before returning, are elided.
+    on-switch buffer lookup, device fetch on a miss, accumulate-logic busy
+    time, result writeback — using the port/device/buffer kernels and plain
+    float arithmetic.  Timing and all observable state (buffer contents and
+    statistics, device counters, the process core's earliest-free
+    watermark, sumtag sequence) match the scalar path exactly; the
+    transient ACR entry, which every scalar accumulation creates and
+    retires before returning, is elided.
     """
 
     def __init__(self, switch: PIFSSwitch, row_bytes: int) -> None:
@@ -259,10 +229,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         self._hit_latency_ns = switch.buffer.hit_latency_ns()
         self._slot_bytes = switch.config.slot_bytes
         self._flit_bytes = switch.config.flit_bytes
-        self._count_device_io = switch.fm_extension.io_access_counters.update
         self._next_sumtag = switch._next_sumtag
-        self._accumulations = 0
-        self._elements = 0
         self._last_retire_ns = 0.0
 
     def accumulate(
@@ -307,8 +274,6 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         # link — all issued at configured_ns, so one stream call replays the
         # per-instruction serialization exactly.
         arrivals = port_stream(self._slot_bytes, configured_ns, count)
-        # The FM endpoint's per-device I/O counts, once per accumulation.
-        self._count_device_io(devs)
         # Steps 3-4: per-row buffer/device data path and accumulation.
         register_ns = self._register_fetch_ns
         element_ns = self._element_ns
@@ -361,8 +326,6 @@ class PIFSSwitchKernel(FabricSwitchKernel):
             done = ((arrivals[last_hit] + register_ns) + per_row_overhead_ns + hit_ns) + element_ns
             if done > last_done:
                 last_done = done
-        self._accumulations += 1
-        self._elements += count
         if last_done > self._last_retire_ns:
             self._last_retire_ns = last_done
         # Step 5: result writeback to the host's reserved address.
@@ -377,11 +340,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         super().sync()
         switch = self._switch
         switch._next_sumtag = self._next_sumtag
-        switch.process_core.apply_accumulation_batch(
-            self._accumulations, self._elements, self._last_retire_ns
-        )
-        self._accumulations = 0
-        self._elements = 0
+        switch.process_core.apply_accumulation_batch(self._last_retire_ns)
         self.buffer.sync()
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import register_system
@@ -24,10 +23,9 @@ class PIFSRecSystem(SLSSystem):
     """The full PIFS-Rec design (§IV).
 
     Hardware: process cores in every fabric switch, on-switch HTR buffer,
-    out-of-order accumulation, FM endpoint extension.  Software: online
-    global-hotness page swapping between local DRAM and CXL plus embedding
-    spreading across CXL nodes, using the cache-line-granular migration
-    controller.
+    out-of-order accumulation.  Software: online global-hotness page
+    swapping between local DRAM and CXL plus embedding spreading across CXL
+    nodes, using cache-line-block migration.
     """
 
     name = "PIFS-Rec"
@@ -179,9 +177,6 @@ class PIFSRecSystem(SLSSystem):
         # Bulk-append the whole bag in C; counting waits for the flush.
         ctx.pending_pages.extend(ctx.page[begin:end])
         host = self.hosts[host_id]
-        stats = host.stats
-        stats.local_rows += len(local_ks)
-        stats.remote_rows += len(remote_ks)
 
         # Local candidates: host-side loads in LOCAL_MLP groups, run through
         # the per-host fused DRAM bag closure (one Python call per bag).
@@ -252,8 +247,6 @@ class PIFSRecSystem(SLSSystem):
                     remote_done = finish
 
         # host.combine(): snoop the writeback, fold in the local partial sum.
-        stats.snoop_polls += 1
-        stats.results_combined += 1
         remote_visible = remote_done + host.SNOOP_DETECT_NS
         combined = local_done if local_done > remote_visible else remote_visible
         return combined + host.COMBINE_NS
@@ -262,16 +255,9 @@ class PIFSRecSystem(SLSSystem):
     def maintenance(self, now_ns: float) -> float:
         if not self.page_management:
             return 0.0
-        cost = run_page_management_epoch(
-            self.tiered, self.hotness_policy, self.spreading_policy, self.backends.row_bytes
-        )
+        cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
         self.add_migration_cost(cost)
-        # Cache-line-block migration barely blocks query processing; OS
-        # page-block migration stalls the queries that touch the page for a
-        # sizeable fraction of the copy.
-        if self.system.page_mgmt.migration_mode == "page_block":
-            return cost * 0.25
-        return cost * 0.05
+        return self.tiered.migration_stall_ns(cost)
 
 
 @register_system("pifs-rec-nopm")

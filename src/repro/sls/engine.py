@@ -140,7 +140,6 @@ class SLSSystem(ABC):
         self.backends: Optional[MemoryBackends] = None
         self.tiered: Optional[TieredMemorySystem] = None
         self.workload: Optional[SLSWorkload] = None
-        self._page_device: Dict[int, int] = {}
         self._counters: Dict[str, float] = {}
         self._migration_cost_ns = 0.0
         self._lookups_since_maintenance = 0
@@ -521,9 +520,6 @@ class SLSSystem(ABC):
         if node_id <= 0:
             raise ValueError("node 0 is local DRAM, not a CXL device")
         return node_id - 1
-
-    def device_to_node(self, device_id: int) -> int:
-        return device_id + 1
 
     def _local_page_budget(self) -> int:
         return self.system.local_dram_capacity_bytes // PAGE_SIZE_BYTES

@@ -123,16 +123,11 @@ def backend_fingerprint(system) -> dict:
 
     for switch in backends.switches:
         if isinstance(switch, PIFSSwitch):
-            stats = switch.process_core.stats
             state.setdefault("pifs", []).append(
                 (switch.buffer.hits, switch.buffer.misses, switch.buffer.evictions,
                  switch.buffer.occupancy, sorted(switch.buffer._entries),
-                 stats.decoded_instructions, stats.repacked_instructions,
-                 stats.configured_sumtags, stats.completed_sumtags,
-                 switch.process_core.accumulator.stats.elements,
-                 switch.process_core.accumulator.stats.busy_cycles,
-                 switch._next_sumtag,
-                 sorted(switch.fm_extension.io_access_counters.items()))
+                 switch.process_core._earliest_free_ns,
+                 switch._next_sumtag)
             )
     return state
 

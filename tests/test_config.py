@@ -231,3 +231,76 @@ def test_every_config_field_is_read():
         if field.name not in reads
     ]
     assert unread == []
+
+
+#: Attributes ``src/repro`` stores and never reads that stay, with why.
+WRITE_ONLY_KEPT = {
+    "table_id": "EmbeddingTable is exported from repro; callers name their tables by it",
+}
+
+
+def _targets(target):
+    """The leaves of an assignment target, tuple and starred targets unpacked."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _targets(element)
+    elif isinstance(target, ast.Starred):
+        yield from _targets(target.value)
+    else:
+        yield target
+
+
+def _declared_and_stored():
+    """Attribute names ``src/repro`` both declares and stores.
+
+    Declared: a class-body annotation or ``self.name = ...``.  Stored:
+    ``x.name = ...`` or ``x.name += ...``.
+    """
+    package = pathlib.Path(repro.config.__file__).parent
+    declared, stored = set(), set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                declared.update(
+                    stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                )
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for leaf in _targets(target):
+                    if not isinstance(leaf, ast.Attribute):
+                        continue
+                    stored.add(leaf.attr)
+                    if (isinstance(leaf.value, ast.Name) and leaf.value.id == "self"
+                            and not isinstance(node, ast.AugAssign)):
+                        declared.add(leaf.attr)
+    return declared & stored
+
+
+def _string_constants():
+    """Every string constant in ``src/repro`` and ``perfbench``.
+
+    A name that appears as a string may be read through ``getattr``, as
+    perfbench reads ``_vector_fallback_reason``.
+    """
+    package = pathlib.Path(repro.config.__file__).parent
+    perfbench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    return {
+        node.value
+        for root in (package, perfbench)
+        for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_no_attribute_is_only_written():
+    """State nothing reads changes no result: keep none."""
+    unread = _declared_and_stored() - _attribute_reads() - _string_constants()
+    assert sorted(unread - set(WRITE_ONLY_KEPT)) == []
+    assert set(WRITE_ONLY_KEPT) <= unread, "a kept name is read now: drop it from the list"

@@ -7,25 +7,16 @@ from repro.cxl.bias_table import BiasMode, BiasTable
 from repro.cxl.device import CXLType3Device
 from repro.cxl.fabric_manager import FabricManager
 from repro.cxl.link import CXLLink
-from repro.cxl.protocol import CXLMemM2S, MemOpcode, is_pifs_opcode
+from repro.cxl.protocol import CXLMemM2S, MemOpcode
 from repro.cxl.switch import FabricSwitch
 from repro.cxl.topology import FabricTopology
 
 
 class TestProtocol:
-    def test_pifs_opcodes(self):
-        assert is_pifs_opcode(MemOpcode.PIFS_DATA_FETCH)
-        assert is_pifs_opcode(MemOpcode.PIFS_CONFIG)
-        assert not is_pifs_opcode(MemOpcode.MEM_RD)
-
     def test_message_ids_unique(self):
         a = CXLMemM2S(opcode=MemOpcode.MEM_RD, address=0, spid=1)
         b = CXLMemM2S(opcode=MemOpcode.MEM_RD, address=0, spid=1)
         assert a.message_id != b.message_id
-
-    def test_is_pifs_flag(self):
-        msg = CXLMemM2S(opcode=MemOpcode.PIFS_CONFIG, address=0, spid=1)
-        assert msg.is_pifs()
 
 
 class TestLink:

@@ -373,9 +373,13 @@ class TestBatchedPrimitives:
         batch_device = DRAMDevice(DEFAULT_SYSTEM.cxl_dram)
         expected = [scalar_device.access(int(a), 0.0, bytes_requested=256) for a in addresses]
         kernel = batch_device.batch_kernel(256)
-        got = kernel.access_batch(addresses, 0.0)
+        channel, flat_bank, row = kernel.mapping.decode_flat_batch(addresses)
+        got = [
+            kernel.access(ch, fb, rw, 0.0)
+            for ch, fb, rw in zip(channel.tolist(), flat_bank.tolist(), row.tolist())
+        ]
         kernel.sync()
-        assert got.tolist() == expected
+        assert got == expected
         assert batch_device.stats().__dict__ == scalar_device.stats().__dict__
 
     def test_decode_batch_matches_scalar(self):
@@ -391,20 +395,33 @@ class TestBatchedPrimitives:
                 ch[i], rank[i], bank[i], row[i], col[i],
             )
 
-    def test_link_kernel_matches_scalar(self):
-        from repro.cxl.link import CXLLink
+    def test_kernel_link_transfers_match_scalar(self):
+        """The port and device kernels repeat ``CXLLink.transfer`` exactly."""
+        from repro.config import CXLConfig, DDR4_CXL_CONFIG
+        from repro.cxl.device import CXLType3Device
+        from repro.cxl.switch import FabricSwitch
 
-        scalar_link = CXLLink(64.0)
-        batch_link = CXLLink(64.0)
-        kernel = batch_link.batch_kernel()
         starts = [0.0, 1.0, 1.5, 100.0, 100.0]
-        expected = [scalar_link.transfer(64, s) for s in starts]
-        got = [kernel.transfer(64, s) for s in starts]
-        kernel.sync()
-        assert got == expected
-        assert batch_link.busy_until_ns == scalar_link.busy_until_ns
-        assert batch_link.total_queue_delay_ns == scalar_link.total_queue_delay_ns
-        assert batch_link.transfers == scalar_link.transfers
+
+        def check(scalar_link, batch_link, kernel, got, stream_starts):
+            expected = [scalar_link.transfer(64, s) for s in starts]
+            expected += [scalar_link.transfer(16, s) for s in stream_starts]
+            kernel.sync()
+            assert got == expected
+            for name in ("busy_until_ns", "total_queue_delay_ns", "transfers", "bytes_transferred"):
+                assert getattr(batch_link, name) == getattr(scalar_link, name)
+
+        switches = [FabricSwitch(CXLConfig()) for _ in range(2)]
+        ports = [switch.attach_host("host0") for switch in switches]
+        kernel = switches[1].batch_kernel(64).port_kernel(ports[1])
+        got = [kernel.transfer(64, s) for s in starts] + kernel.transfer_stream(16, 200.0, 3)
+        check(ports[0].link, ports[1].link, kernel, got, [200.0] * 3)
+
+        devices = [CXLType3Device(0, DDR4_CXL_CONFIG, CXLConfig()) for _ in range(2)]
+        kernel = devices[1].batch_kernel(64)
+        got = [kernel.link_transfer(64, s) for s in starts]
+        got += kernel.link_transfer_seq(16, starts, 0.5)
+        check(devices[0].link, devices[1].link, kernel, got, [s + 0.5 for s in starts])
 
     def test_record_accesses_matches_scalar_loop(self):
         def fresh():
@@ -452,13 +469,3 @@ class TestBatchedPrimitives:
         is_local, device = placement_arrays(nodes)
         assert is_local.tolist() == [True, False, False]
         assert device.tolist() == [-1, 0, 1]
-
-    def test_node_serve_batch_matches_scalar(self):
-        scalar_node = MemoryNode(0, MemoryTier.LOCAL_DRAM, 1 << 20, 90.0, 38.4)
-        batch_node = MemoryNode(0, MemoryTier.LOCAL_DRAM, 1 << 20, 90.0, 38.4)
-        starts = [0.0, 0.5, 10.0, 10.0, 3.0]
-        expected = [scalar_node.serve(s, bytes_requested=128) for s in starts]
-        got = batch_node.serve_batch(starts, bytes_requested=128)
-        assert got.tolist() == expected
-        assert batch_node.busy_until_ns == scalar_node.busy_until_ns
-        assert batch_node.access_count == scalar_node.access_count

@@ -203,11 +203,6 @@ class TestTieredMemorySystem:
         tiered = self._system()
         assert tiered.migration_cost_ns("cacheline_block") < tiered.migration_cost_ns("page_block")
 
-    def test_blocked_rows(self):
-        tiered = self._system()
-        assert tiered.blocked_rows_per_migration(64, "page_block") == PAGE_SIZE_BYTES // 64
-        assert tiered.blocked_rows_per_migration(64, "cacheline_block") == 1
-
     def test_unknown_migration_mode(self):
         with pytest.raises(ValueError):
             TieredMemorySystem(make_nodes(), migration_mode="teleport")

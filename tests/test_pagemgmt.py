@@ -6,7 +6,6 @@ from repro.config import GIB, PAGE_SIZE_BYTES
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.tiered import TieredMemorySystem
 from repro.pagemgmt.global_hotness import GlobalHotnessPolicy
-from repro.pagemgmt.migration import MigrationCostModel
 from repro.pagemgmt.regions import HostRegions
 from repro.pagemgmt.spreading import SpreadingPolicy
 
@@ -167,28 +166,3 @@ class TestSpreading:
         table = tiered.node_id_table().tolist()
         assert [page for page, node in enumerate(table) if node == 0] == [5]
         assert table == [1, 2, 1, 1, 1, 0, 2]
-
-
-class TestMigrationCostModel:
-    def test_cacheline_block_cheaper(self):
-        model = MigrationCostModel()
-        assert model.migration_cost_ns("cacheline_block") < model.migration_cost_ns("page_block")
-
-    def test_blocked_rows(self):
-        model = MigrationCostModel()
-        assert model.blocked_rows(64, "page_block") == 64
-        assert model.blocked_rows(64, "cacheline_block") == 1
-        assert model.blocked_rows(256, "cacheline_block") == 1
-
-    def test_overhead_ratio_exceeds_one(self):
-        model = MigrationCostModel()
-        ratio = model.overhead_ratio(row_bytes=64, access_probability=0.1)
-        assert ratio > 3.0  # the paper reports up to 5.1x
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            MigrationCostModel().migration_cost_ns("warp")
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            MigrationCostModel().query_visible_overhead_ns(64, "page_block", access_probability=2.0)

@@ -7,7 +7,7 @@ from repro.cxl.device import CXLType3Device
 from repro.cxl.topology import FabricTopology
 from repro.memsys.node import MemoryNode, MemoryTier
 from repro.memsys.tiered import TieredMemorySystem
-from repro.pifs.forwarding import ForwardController, MultiSwitchCoordinator
+from repro.pifs.forwarding import MultiSwitchCoordinator
 from repro.pifs.host import PIFSHost
 from repro.pifs.switch import PIFSSwitch, RowFetch
 
@@ -28,24 +28,25 @@ class TestPIFSSwitchAccumulate:
         switch, port = build_switch()
         rows = [RowFetch(address=i * 256, device_id=i % 2) for i in range(8)]
         outcome = switch.accumulate(rows, port, issue_ns=0.0, result_address=0x8000)
-        assert outcome.host_notified_ns > outcome.result_ready_ns - 1e-9
-        assert outcome.buffer_hits + outcome.buffer_misses == 8
-        assert sum(outcome.device_rows.values()) == 8
-        assert outcome.writeback.address == 0x8000
+        # The result crosses the upstream link back to the host.
+        assert outcome.host_notified_ns > outcome.result_ready_ns
+        assert switch.buffer.hits + switch.buffer.misses == 8
+        assert sum(switch.device(i).reads for i in range(2)) == switch.buffer.misses
 
     def test_sumtag_retired_after_accumulation(self):
         switch, port = build_switch()
         rows = [RowFetch(address=0, device_id=0)]
         outcome = switch.accumulate(rows, port, issue_ns=0.0)
         assert switch.process_core.active_sumtags == 0
-        assert switch.process_core.stats.completed_sumtags == 1
-        assert outcome.sumtag >= 0
+        assert outcome.result_ready_ns > 0
+        # The accumulation took sumtag 0, so the next one is 1.
+        assert switch.allocate_sumtag() == 1
 
     def test_repeated_rows_hit_buffer(self):
         switch, port = build_switch()
         rows = [RowFetch(address=0x40, device_id=0)] * 4
-        outcome = switch.accumulate(rows, port, issue_ns=0.0)
-        assert outcome.buffer_hits >= 3
+        switch.accumulate(rows, port, issue_ns=0.0)
+        assert (switch.buffer.hits, switch.buffer.misses) == (3, 1)
 
     def test_empty_rows_rejected(self):
         switch, port = build_switch()
@@ -117,37 +118,10 @@ class TestPIFSHost:
     def test_combine_waits_for_slowest(self):
         host = PIFSHost(0, SystemConfig())
         combined = host.combine(local_done_ns=100.0, remote_done_ns=500.0)
-        assert combined >= 500.0 + host.SNOOP_DETECT_NS
-        assert host.stats.results_combined == 1
+        assert combined == 500.0 + host.SNOOP_DETECT_NS + host.COMBINE_NS
 
 
 class TestForwarding:
-    def test_forward_controller_waits_for_all(self):
-        controller = ForwardController()
-        controller.expect(1, switch_id=2, sub_candidate_count=3)
-        controller.expect(1, switch_id=3, sub_candidate_count=2)
-        first = controller.record_arrival(1, 2, arrival_ns=100.0)
-        assert not first.complete and first.missing_switches == [3]
-        second = controller.record_arrival(1, 3, arrival_ns=250.0)
-        assert second.complete
-        assert second.forward_ns == pytest.approx(250.0)
-
-    def test_unknown_arrival_rejected(self):
-        controller = ForwardController()
-        with pytest.raises(KeyError):
-            controller.record_arrival(5, 0, 0.0)
-
-    def test_discard(self):
-        controller = ForwardController()
-        controller.expect(1, 2, 1)
-        controller.discard(1)
-        with pytest.raises(KeyError):
-            controller.record_arrival(1, 2, 0.0)
-
-    def test_partition_rows(self):
-        coordinator = MultiSwitchCoordinator(FabricTopology(2, CXLConfig()), CXLConfig())
-        assert coordinator.partition_rows([0, 1, 1, 0, 1]) == {0: 2, 1: 3}
-
     def test_cnv_bit(self):
         coordinator = MultiSwitchCoordinator(
             FabricTopology(2, CXLConfig()), CXLConfig(), compute_capable=[True, False]
