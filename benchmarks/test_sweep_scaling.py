@@ -15,12 +15,16 @@ measured grid's workloads, then the timed grid.
 
 The benchmark asserts the persistent engine returns results identical to
 the serial path, pins the wall-clock floor, and records the
-``BENCH_sweep_scaling.json`` baseline.  Set ``REPRO_BENCH_SMOKE=1`` for
+``BENCH_sweep_scaling.json`` baseline.  Each repeat times the two engines
+back to back, alternating which goes first, so a slow spell of the host
+lands on both sides of a pair; the floor holds the median over repeats of
+the paired legacy/persistent ratio.  Set ``REPRO_BENCH_SMOKE=1`` for
 fewer repetitions, a relaxed floor and no baseline file.
 """
 
 import os
 import pathlib
+import statistics
 import time
 
 from conftest import bench_environment, run_once, write_baseline
@@ -85,14 +89,16 @@ def _compare_engines():
     clear_cache()
     serial = _measured_sweep().run(parallel=False, cache=False)
 
-    legacy_s = float("inf")
-    persistent_s = float("inf")
+    runs = {"legacy": _legacy_run, "persistent": _persistent_run}
+    seconds = {"legacy": [], "persistent": []}
     persistent = None
-    for _ in range(REPEATS):
-        elapsed, _result = _timed_sequence(_legacy_run)
-        legacy_s = min(legacy_s, elapsed)
-        elapsed, persistent = _timed_sequence(_persistent_run)
-        persistent_s = min(persistent_s, elapsed)
+    for repeat in range(REPEATS):
+        order = ("legacy", "persistent") if repeat % 2 == 0 else ("persistent", "legacy")
+        for engine in order:
+            elapsed, result = _timed_sequence(runs[engine])
+            seconds[engine].append(elapsed)
+            if engine == "persistent":
+                persistent = result
     shutdown_worker_pool()
 
     # Parallel execution on the persistent pool is byte-identical to serial.
@@ -100,11 +106,16 @@ def _compare_engines():
     assert [r.total_ns for r in persistent] == [r.total_ns for r in serial], (
         "persistent-pool sweep diverged from the serial path"
     )
+    legacy_s, persistent_s = seconds["legacy"], seconds["persistent"]
     return {
         "points": len(serial),
-        "legacy_ms": legacy_s * 1e3,
-        "persistent_ms": persistent_s * 1e3,
-        "speedup": legacy_s / persistent_s,
+        "legacy_ms": statistics.median(legacy_s) * 1e3,
+        "persistent_ms": statistics.median(persistent_s) * 1e3,
+        "speedup": statistics.median(
+            legacy / persistent for legacy, persistent in zip(legacy_s, persistent_s)
+        ),
+        # The best-of-N ratio the floor held before pairing, for comparison.
+        "best_of_speedup": min(legacy_s) / min(persistent_s),
     }
 
 
@@ -115,8 +126,9 @@ def test_sweep_scaling(benchmark):
     print(
         f"{row['points']}-point parallel sweep ({PROCESSES} workers): "
         f"legacy fork-per-run pool {row['legacy_ms']:,.0f} ms, "
-        f"persistent+chunked pool {row['persistent_ms']:,.0f} ms "
-        f"({row['speedup']:.2f}x)"
+        f"persistent+chunked pool {row['persistent_ms']:,.0f} ms (medians); "
+        f"median paired ratio {row['speedup']:.2f}x, best-of-{REPEATS} ratio "
+        f"{row['best_of_speedup']:.2f}x"
     )
 
     write_baseline(BASELINE_PATH, {
@@ -126,8 +138,9 @@ def test_sweep_scaling(benchmark):
         f"{len(MEASURED_GRID['batch_size'])} batch sizes, quick "
         "scale, vector engine) after a workload-sharing warm-up "
         "sweep: legacy fork-per-run pool vs the persistent chunked "
-        f"pool, {PROCESSES} workers, best of {REPEATS} sequences "
-        "each",
+        f"pool, {PROCESSES} workers, {REPEATS} back-to-back pairs of "
+        "sequences (alternating order); times are medians, speedup the "
+        "median paired ratio",
         "recorded_unix": int(time.time()),
         "host": bench_environment(),
         "entry": row,

@@ -160,8 +160,6 @@ class RecNMPSystem(SLSSystem):
     # Vector-engine twin
     # ------------------------------------------------------------------
     def prepare_vector(self, ctx) -> None:
-        self._rank_cache_kernel = self._rank_cache.batch_kernel()
-        ctx.extra_kernels.append(self._rank_cache_kernel)
         # Route table, built once per session: for every (host, device) the
         # bound closures a remote NMP burst needs — device link, device
         # DRAM, the host's upstream port on the device's switch — plus the
@@ -191,10 +189,10 @@ class RecNMPSystem(SLSSystem):
         counters = self._counters
         # Every row is recorded: one C-level bulk append for the bag.
         ctx.pending_pages.extend(ctx.page[begin:end])
-        cache = self._rank_cache_kernel
+        cache = self._rank_cache
         lookup = cache.lookup
         insert = cache.insert
-        hit_ns = self._rank_cache.hit_latency_ns()
+        hit_ns = cache.hit_latency_ns()
         accumulate_ns = self.NMP_ACCUMULATE_NS
         hits = 0
         misses = 0

@@ -12,7 +12,7 @@ from repro.config import CACHE_LINE_BYTES, CXLConfig, DRAMConfig
 from repro.cxl.bias_table import BiasMode, BiasTable
 from repro.cxl.link import CXLLink
 from repro.cxl.protocol import MemOpcode
-from repro.dram.device import DRAMDevice, DRAMKernel, DRAMStats
+from repro.dram.device import DRAMDevice, DRAMKernel
 
 
 class CXLType3Device:
@@ -74,10 +74,6 @@ class CXLType3Device:
     @property
     def capacity_bytes(self) -> int:
         return self._dram.capacity_bytes
-
-    @property
-    def read_penalty_ns(self) -> float:
-        return self._read_penalty_ns
 
     def degrade_reads(self, extra_ns: float) -> None:
         """Mark the device read-degraded: every read pays ``extra_ns`` more.
@@ -144,9 +140,6 @@ class CXLType3Device:
     def batch_kernel(self, bytes_requested: int) -> "CXLDeviceKernel":
         """A flattened read-timing kernel over this device (batch engine)."""
         return CXLDeviceKernel(self, bytes_requested)
-
-    def dram_stats(self) -> DRAMStats:
-        return self._dram.stats()
 
     def reset(self) -> None:
         self._dram.reset()

@@ -57,9 +57,6 @@ class FabricManager:
     def binding_for_port(self, port_id: int) -> Optional[PortBinding]:
         return self._bindings.get(port_id)
 
-    def binding_for_endpoint(self, endpoint_name: str) -> Optional[PortBinding]:
-        return self._by_name.get(endpoint_name)
-
     def bindings(self) -> List[PortBinding]:
         return sorted(self._bindings.values(), key=lambda b: b.port_id)
 

@@ -15,7 +15,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.config import PAGE_SIZE_BYTES, ModelConfig
-from repro.memsys.page import page_id_of
 
 
 @dataclass(frozen=True)
@@ -80,10 +79,6 @@ class AddressSpace:
         if rows.size and (int(rows.min()) < 0 or int(rows.max()) >= self.num_embeddings):
             raise ValueError(f"row index out of range [0, {self.num_embeddings})")
         return table * self.table_stride + rows * self.row_bytes
-
-    def page_of_row(self, table: int, row: int) -> int:
-        """Page id containing ``row`` of ``table``."""
-        return page_id_of(self.row_address(table, row), self.page_size)
 
     def locate(self, address: int) -> Tuple[int, int]:
         """Inverse mapping: return (table, row) for a row-aligned address."""

@@ -8,7 +8,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CACHE_LINE_BYTES, PAGE_SIZE_BYTES
+from repro.config import CACHE_LINE_BYTES
 
 
 class MemoryTier(Enum):
@@ -46,11 +46,6 @@ class MemoryNode:
             raise ValueError("capacity must be positive")
         if self.bandwidth_gbps <= 0:
             raise ValueError("bandwidth must be positive")
-
-    @property
-    def page_capacity(self) -> int:
-        """Number of 4 KB pages the node can hold."""
-        return self.capacity_bytes // PAGE_SIZE_BYTES
 
     @property
     def free_bytes(self) -> int:

@@ -7,7 +7,7 @@ instruction streams and NMP bursts.  This package adds the missing layer:
 
 * :class:`EventCore` — a deterministic priority-queue event core with seeded
   tie-breaking, the global-time ordering authority for the tier.
-* :class:`Packet` / :class:`Flow` / :class:`Priority` — per-transfer records
+* :class:`Flow` / :class:`Priority` — per-port, per-class transfer records
   carrying the CXL protocol's transaction opcodes and priority classes.
 * :class:`PortQueue` — a finite packet buffer in front of one fabric port,
   with FIFO or priority-reserved credits, credit-based backpressure and an
@@ -23,7 +23,7 @@ leaving the analytic arithmetic untouched.
 
 from repro.net.core import Event, EventCore, seeded_rank
 from repro.net.fabric import PacketConfig, PacketFabric
-from repro.net.packet import Flow, Packet, Priority, priority_of_opcode
+from repro.net.packet import Flow, Priority, priority_of_opcode
 from repro.net.port import PortQueue
 from repro.net.stats import NetStats, PortStats
 
@@ -32,7 +32,6 @@ __all__ = [
     "EventCore",
     "Flow",
     "NetStats",
-    "Packet",
     "PacketConfig",
     "PacketFabric",
     "PortQueue",

@@ -92,8 +92,6 @@ class PacketFabric:
     def __init__(self, config: Optional[PacketConfig] = None) -> None:
         self._config = config or PacketConfig()
         self._queues: List[PortQueue] = []
-        self._links: List[object] = []
-        self._coordinator: Optional[object] = None
 
     @property
     def config(self) -> PacketConfig:
@@ -143,7 +141,6 @@ class PacketFabric:
             queue = self._make_queue(link.name, cfg.capacity)
             link.attach_port(queue)
             self._queues.append(queue)
-            self._links.append(link)
         coordinator = getattr(system, "coordinator", None)
         if coordinator is not None and hasattr(coordinator, "attach_hop_port"):
             hop_queue = self._make_queue(self.HOP_CHANNEL, cfg.effective_hop_capacity)
@@ -151,16 +148,6 @@ class PacketFabric:
                 hop_queue, bytes_hint=getattr(backends, "row_bytes", 0)
             )
             self._queues.append(hop_queue)
-            self._coordinator = coordinator
-
-    def detach(self) -> None:
-        """Remove every installed queue (leaves observations intact)."""
-        for link in self._links:
-            link.attach_port(None)
-        self._links = []
-        if self._coordinator is not None:
-            self._coordinator.attach_hop_port(None)
-            self._coordinator = None
 
     # ------------------------------------------------------------------
     # Digest

@@ -83,34 +83,6 @@ def classify(op: Optional[Union[MemOpcode, Priority]]) -> "tuple[Priority, str]"
         return tag
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One transfer as observed by the packet tier.
-
-    ``issued_ns`` is when the producer asked for the transfer,
-    ``admitted_ns`` is when the port queue granted a buffer credit
-    (equal to ``issued_ns`` in the uncongested limit), and
-    ``delivered_ns`` is when the payload cleared the link.
-    """
-
-    port: str
-    op: Optional[MemOpcode]
-    priority: Priority
-    size_bytes: int
-    issued_ns: float
-    admitted_ns: float
-    delivered_ns: float
-
-    @property
-    def stalled_ns(self) -> float:
-        """Admission stall from backpressure or drop/retry."""
-        return self.admitted_ns - self.issued_ns
-
-    @property
-    def latency_ns(self) -> float:
-        return self.delivered_ns - self.issued_ns
-
-
 @dataclass
 class Flow:
     """Aggregate of all packets of one priority class through one port."""
@@ -142,7 +114,6 @@ class Flow:
 __all__ = [
     "Flow",
     "PRIORITY_OF_OPCODE",
-    "Packet",
     "Priority",
     "classify",
     "op_label",

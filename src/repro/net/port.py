@@ -30,7 +30,7 @@ from bisect import bisect_right, insort
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.cxl.protocol import MemOpcode
-from repro.net.packet import Flow, Packet, Priority, classify, priority_of_opcode
+from repro.net.packet import Flow, Priority, classify
 
 POLICIES = ("fifo", "priority")
 
@@ -136,18 +136,6 @@ class PortQueue:
         deliveries = self._deliveries
         return len(deliveries) - bisect_right(deliveries, time_ns)
 
-    def iter_packets(self) -> Iterator[Packet]:
-        """Materialize the observed packets (diagnostics and tests)."""
-        for issued, admitted, delivered, size, op in self._records:
-            yield Packet(
-                port=self.name,
-                op=op if isinstance(op, MemOpcode) else None,
-                priority=priority_of_opcode(op),
-                size_bytes=size,
-                issued_ns=issued,
-                admitted_ns=admitted,
-                delivered_ns=delivered,
-            )
 
     def events(self) -> Iterator[Tuple[float, int, int]]:
         """(time_ns, delta, key) occupancy events for the EventCore replay."""

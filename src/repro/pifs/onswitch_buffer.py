@@ -4,11 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-from collections import Counter, OrderedDict, deque
+from collections import OrderedDict, deque
 from itertools import islice
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.config import BufferConfig
+
+#: Curation sorts on the one int64 key ``rank - (count << 32)``, unique
+#: per row while first-seen ranks stay below 2**32 and counts below 2**31.
+_RANK_LIMIT = 1 << 32
+_COUNT_LIMIT = 1 << 31
 
 
 class OnSwitchBuffer:
@@ -18,19 +25,28 @@ class OnSwitchBuffer:
     address.  Three replacement strategies are supported:
 
     * ``htr`` — Hottest Recording: the buffer counts the lookups of every
-      row in its own ``Counter``; it is periodically re-curated to hold the
-      most-counted rows, and on insertion the coldest resident row is
-      evicted only if the incoming row is at least as hot.
+      row; it is periodically re-curated to hold the most-counted rows, and
+      on insertion the coldest resident row is evicted only if the incoming
+      row is at least as hot.
     * ``lru`` — classic least-recently-used.
     * ``fifo`` — first-in-first-out.
     * ``none`` — the buffer is disabled (every lookup misses).
 
-    Only HTR counts rows; the other policies never read a count.  HTR
-    curation ranks rows by count, equal counts in first-seen order (the
-    order ``Counter.most_common`` keeps).  Counts only grow, and only
-    through :meth:`lookup`, so each curation re-keys just the rows probed
-    since the previous one and merges them into that curation's survivors
-    (see :meth:`_rank_hottest`).
+    Only HTR counts rows, in a plain ``dict`` kept in first-seen order; the
+    other policies never read a count.  A probe costs HTR one count
+    increment, one add to the set of rows touched since the last curation
+    and one membership test of the resident map (a plain ``dict``; LRU's is
+    an ``OrderedDict`` for ``move_to_end``).  HTR curation ranks rows by
+    count, equal counts in first-seen order (the order
+    ``Counter.most_common`` keeps).  Counts only grow, and only through a
+    probe, so each curation keys just the touched rows and merges them
+    with the previous curation's top rows, held as int64 columns, in a few
+    numpy passes (see :meth:`_rank_hottest`).
+
+    The scalar engine and RecNMP's rank cache call :meth:`lookup` and
+    :meth:`insert`; the vector engine's
+    :class:`~repro.pifs.switch.PIFSSwitchKernel` probes the resident map
+    and the counts inline and inserts through :meth:`insert`.
     """
 
     def __init__(self, config: BufferConfig, row_bytes: int) -> None:
@@ -39,23 +55,34 @@ class OnSwitchBuffer:
         self._config = config
         self._row_bytes = row_bytes
         self._capacity_rows = config.capacity_bytes // row_bytes
-        self._entries: "OrderedDict[int, int]" = OrderedDict()  # address -> insertion order
+        # The switch kernel holds the resident map, the counts and the
+        # touched set across a curation: they are mutated in place, never
+        # replaced.  The resident map is address -> insertion seq, a plain
+        # dict except under LRU: HTR's newcomer order depends on
+        # ``set.difference`` seeing an exact dict.
+        self._entries: Dict[int, int] = OrderedDict() if config.policy == "lru" else {}
         self._fifo: Deque[int] = deque()
         # HTR row counts, in first-seen order.
-        self._counts: Counter = Counter()
+        self._counts: Dict[int, int] = {}
         # HTR eviction heap: (count-at-push, insertion-seq, address) triples.
         # Counts only grow, so pushed counts are lower bounds and the
         # classic lazy-update scheme finds the exact (count, insertion-order)
         # minimum the linear scan used to select.
         self._heap: List[Tuple[int, int, int]] = []
-        # Incremental HTR ranking: the last curation's top rows as sorted
-        # (-count, first-seen rank, address) keys, every counted row's
-        # first-seen rank, and the rows probed since (a list both lookup
-        # paths append to; cleared in place).  ``_rerank`` makes the next
-        # curation rank every counted row from scratch.
-        self._ranked: List[Tuple[int, int, int]] = []
+        # Incremental HTR ranking: the rows probed since the last curation;
+        # that curation's top rows as first-seen-rank and count columns,
+        # hottest first, and the insertion seq it ended at (later seqs are
+        # misses' inserts); every counted row's first-seen rank and the row
+        # at each rank; a scratch flag per rank, all clear between uses.
+        # ``_rerank`` makes the next curation rank every counted row from
+        # scratch.
+        self._touched: Set[int] = set()
+        self._top_rank = np.empty(0, dtype=np.int64)
+        self._top_count = np.empty(0, dtype=np.int64)
+        self._curated_seq = 0
         self._first_seen: Dict[int, int] = {}
-        self._touched: List[int] = []
+        self._by_rank: List[int] = []
+        self._flags = np.zeros(0, dtype=bool)
         self._rerank = False
         self._hits = 0
         self._misses = 0
@@ -101,39 +128,43 @@ class OnSwitchBuffer:
     def lookup(self, address: int) -> bool:
         """Look up ``address``; updates hit/miss counters and HTR's row count."""
         self._accesses_since_curate += 1
-        if self._config.policy == "none" or self._capacity_rows == 0:
+        policy = self._config.policy
+        if policy == "none" or self._capacity_rows == 0:
             self._misses += 1
             return False
         hit = address in self._entries
         if hit:
             self._hits += 1
-            if self._config.policy == "lru":
+            if policy == "lru":
                 self._entries.move_to_end(address)
         else:
             self._misses += 1
-        if self._config.policy == "htr":
-            self._counts[address] += 1
-            self._touched.append(address)
+        if policy == "htr":
+            self._counts[address] = self._counts.get(address, 0) + 1
+            self._touched.add(address)
             if self._accesses_since_curate >= self._config.htr_interval:
                 self._curate()
         return hit
 
     def insert(self, address: int) -> None:
         """Insert ``address`` after a miss, applying the replacement policy."""
-        if self._config.policy == "none" or self._capacity_rows == 0:
+        policy = self._config.policy
+        if policy == "none" or self._capacity_rows == 0:
             return
-        if address in self._entries:
-            if self._config.policy == "lru":
-                self._entries.move_to_end(address)
+        entries = self._entries
+        if address in entries:
+            if policy == "lru":
+                entries.move_to_end(address)
             return
-        if len(self._entries) >= self._capacity_rows:
+        if len(entries) >= self._capacity_rows:
             if not self._evict_for(address):
                 return
-        self._entries[address] = self._insertions
-        if self._config.policy == "htr":
-            heapq.heappush(self._heap, (self._counts[address], self._insertions, address))
-        self._insertions += 1
-        if self._config.policy == "fifo":
+        seq = self._insertions
+        entries[address] = seq
+        self._insertions = seq + 1
+        if policy == "htr":
+            heapq.heappush(self._heap, (self._counts.get(address, 0), seq, address))
+        elif policy == "fifo":
             self._fifo.append(address)
 
     def contains(self, address: int) -> bool:
@@ -146,14 +177,16 @@ class OnSwitchBuffer:
         is reallocated (or mapped out after an ECC event).  If the new
         capacity is below the current occupancy, resident rows are evicted
         in insertion order until the buffer fits.  Must be applied before
-        a :class:`BufferKernel` is built — kernels snapshot the capacity.
-        The next curation ranks from scratch.
+        a switch kernel is built — kernels snapshot whether the buffer is
+        enabled.  The next curation ranks from scratch.
         """
         self._config = dataclasses.replace(self._config, capacity_bytes=capacity_bytes)
         self._capacity_rows = capacity_bytes // self._row_bytes
         self._rerank = True
-        while len(self._entries) > self._capacity_rows:
-            victim, _ = self._entries.popitem(last=False)
+        entries = self._entries
+        while len(entries) > self._capacity_rows:
+            victim = next(iter(entries))
+            del entries[victim]
             if victim in self._fifo:
                 self._fifo.remove(victim)
             self._evictions += 1
@@ -188,8 +221,7 @@ class OnSwitchBuffer:
         if top is None:
             return True
         coldest_count, _, coldest_addr = top
-        incoming_count = self._counts[incoming]
-        if incoming_count >= (coldest_count or 0):
+        if self._counts.get(incoming, 0) >= coldest_count:
             heapq.heappop(self._heap)
             del self._entries[coldest_addr]
             self._evictions += 1
@@ -206,13 +238,13 @@ class OnSwitchBuffer:
         """
         heap = self._heap
         entry_seq = self._entries.get
-        counts = self._counts
+        count_of = self._counts.get
         while heap:
             count, seq, address = heap[0]
             if entry_seq(address) != seq:
                 heapq.heappop(heap)
                 continue
-            current = counts[address]
+            current = count_of(address, 0)
             if current != count:
                 heapq.heapreplace(heap, (current, seq, address))
                 continue
@@ -220,166 +252,120 @@ class OnSwitchBuffer:
         return None
 
     def _rebuild_heap(self) -> None:
-        counts = self._counts
-        self._heap = [(counts[address], seq, address) for address, seq in self._entries.items()]
+        count_of = self._counts.get
+        self._heap = [(count_of(address, 0), seq, address) for address, seq in self._entries.items()]
         heapq.heapify(self._heap)
 
     def _curate(self) -> None:
-        """Re-curate the HTR buffer to hold the most-counted rows."""
+        """Re-curate the HTR buffer to hold the most-counted rows.
+
+        Right after a curation the buffer holds exactly the top rows, so a
+        resident row that must go either left the top this time or was
+        inserted by a miss since: the tail of the resident map from the
+        previous curation's seq mark.  Only building the wanted set and
+        taking its newcomers walk the whole top-k.
+        """
         self._accesses_since_curate = 0
+        by_rank = self._by_rank
+        previous = self._top_rank
+        ranks = self._rank_hottest()
         # Built in rank order: the set's iteration order decides which
         # newcomer gets which insertion seq.
-        desired = {address for _, _, address in self._rank_hottest()}
+        desired = set(map(by_rank.__getitem__, ranks.tolist()))
         entries = self._entries
-        current = set(entries)
-        for addr in current - desired:
+        # Taken against the full resident map, the difference iterates in
+        # the order ``desired - set(entries)`` does.
+        newcomers = desired.difference(entries)
+        # The unwanted rows among those misses inserted since the mark
+        # (the map's tail), then the previous top rows that left the top
+        # and were resident since the mark.
+        mark = self._curated_seq
+        evicted = []
+        for addr, seq in reversed(entries.items()):
+            if seq < mark:
+                break
+            if addr not in desired:
+                evicted.append(addr)
+        in_top = self._flags
+        in_top[ranks] = True
+        left = previous[~in_top[previous]]
+        in_top[ranks] = False
+        for addr in map(by_rank.__getitem__, left.tolist()):
+            if entries.get(addr, mark) < mark:
+                evicted.append(addr)
+        for addr in evicted:
             del entries[addr]
-            self._evictions += 1
+        self._evictions += len(evicted)
         # Survivors keep valid lower-bound heap entries; only newcomers are
-        # pushed, and the evicted rows' entries are dropped lazily.
+        # pushed, and the evicted rows' entries are dropped lazily.  The
+        # newcomers fit: survivors and newcomers together are ``desired``.
         heap = self._heap
         counts = self._counts
-        for addr in desired - current:
-            if len(entries) < self._capacity_rows:
-                seq = self._insertions
-                entries[addr] = seq
-                heapq.heappush(heap, (counts[addr], seq, addr))
-                self._insertions += 1
+        seq = self._insertions
+        for addr in newcomers:
+            entries[addr] = seq
+            heapq.heappush(heap, (counts[addr], seq, addr))
+            seq += 1
+        self._insertions = self._curated_seq = seq
         if len(heap) > 2 * len(entries):
             self._rebuild_heap()
 
-    def _rank_hottest(self) -> List[Tuple[int, int, int]]:
-        """The ``capacity_rows`` hottest rows as sorted ``(-count, first-seen rank, address)``.
+    def _rank_hottest(self) -> np.ndarray:
+        """First-seen ranks of the ``capacity_rows`` hottest rows, hottest first.
 
-        Same rows and order as ``Counter.most_common(capacity_rows)``.  A
-        row neither probed since the previous curation nor in its top-k
+        Same rows and order as ``Counter(counts).most_common(capacity_rows)``.
+        A row neither probed since the previous curation nor in its top-k
         kept its count while every top-k row's count could only grow, so it
-        still ranks below all k of them: the new top-k is the previous one
-        with the probed rows re-keyed.  After a resize, every counted row is
-        re-keyed against an empty top-k.
+        still ranks below all k of them: the new top-k is the best k of the
+        previous one and the probed rows, re-keyed.  After a resize, every
+        counted row is re-keyed against an empty top-k.  Only the rows
+        counted since the previous curation get first-seen ranks, read from
+        the counter's end.
         """
         counts = self._counts
-        rank = self._first_seen
-        touched = set(self._touched)
-        # In place: the BufferKernel closures hold this list's append.
-        self._touched.clear()
+        first_seen = self._first_seen
+        by_rank = self._by_rank
+        ranked = len(by_rank)
+        if len(counts) > ranked:
+            tail = list(islice(reversed(counts), len(counts) - ranked))
+            tail.reverse()
+            first_seen.update(zip(tail, range(ranked, len(counts))))
+            by_rank += tail
+            if len(by_rank) > len(self._flags):
+                # Grown by doubling: amortized O(1) per newly counted row.
+                grown = max(len(by_rank), 2 * len(self._flags))
+                self._flags = np.concatenate(
+                    (self._flags, np.zeros(grown - len(self._flags), dtype=bool))
+                )
+        touched = self._touched
+        top_rank, top_count = self._top_rank, self._top_count
         if self._rerank:
-            self._ranked = []
-            touched = counts.keys()
             self._rerank = False
-        # New rows entered the counter at its end, in first-seen order.
-        rank.update(zip(islice(counts, len(rank), None), range(len(rank), len(counts))))
-        ranked = [key for key in self._ranked if key[2] not in touched]
-        ranked += sorted([(-counts[a], rank[a], a) for a in touched])
-        ranked.sort()  # merges the two sorted runs
-        del ranked[self._capacity_rows:]
-        self._ranked = ranked
-        return ranked
+            touched = counts
+            top_rank = top_count = top_rank[:0]
+        size = len(touched)
+        ranks = np.fromiter(map(first_seen.get, touched), np.int64, size)
+        hits = np.fromiter(map(counts.get, touched), np.int64, size)
+        self._touched.clear()
+        # The previous top rows keep their columns unless touched since.
+        touched_rank = self._flags
+        touched_rank[ranks] = True
+        kept = ~touched_rank[top_rank]
+        touched_rank[ranks] = False
+        ranks = np.concatenate((top_rank[kept], ranks))
+        hits = np.concatenate((top_count[kept], hits))
+        if len(by_rank) > _RANK_LIMIT or (hits.size and hits.max() >= _COUNT_LIMIT):
+            raise OverflowError("HTR counts or ranks past the curation sort key's range")
+        # Unique per row: count descending, then first-seen rank.  The kept
+        # rows are one sorted run, which a stable sort merges.
+        order = np.argsort(ranks - (hits << 32), kind="stable")[: self._capacity_rows]
+        self._top_rank = ranks[order]
+        self._top_count = hits[order]
+        return self._top_rank
 
     def reset_stats(self) -> None:
         self._hits = 0
         self._misses = 0
 
-    def batch_kernel(self) -> "BufferKernel":
-        """A flattened lookup/insert kernel over this buffer (batch engine)."""
-        return BufferKernel(self)
 
-
-class BufferKernel:
-    """Flattened ``lookup``/``insert`` over one :class:`OnSwitchBuffer`.
-
-    The closures operate directly on the buffer's own ``OrderedDict``, HTR
-    counter and touched list (so HTR curation and eviction decisions are
-    the buffer's own code), while the hit/miss/interval counters live in
-    locals until :meth:`sync`.  Behaviour is identical to the scalar
-    methods, including the HTR re-curation trigger position inside
-    ``lookup``.  A disabled buffer (policy ``none`` or no capacity) misses
-    every lookup and ignores every insert, so callers may skip both and
-    count the misses with one ``miss(count)`` call.
-    """
-
-    def __init__(self, buffer: OnSwitchBuffer) -> None:
-        self._buffer = buffer
-        self.disabled = buffer._config.policy == "none" or buffer._capacity_rows == 0
-        self.lookup, self.insert, self.miss, self._snapshot = self._build()
-
-    def _build(self):
-        buffer = self._buffer
-        entries = buffer._entries
-        move_to_end = entries.move_to_end
-        counts = buffer._counts
-        policy = buffer._config.policy
-        capacity = buffer._capacity_rows
-        disabled = self.disabled
-        is_lru = policy == "lru"
-        is_htr = policy == "htr"
-        is_fifo = policy == "fifo"
-        htr_interval = buffer._config.htr_interval
-        touch = buffer._touched.append
-        hits = 0
-        misses = 0
-        since_curate = buffer._accesses_since_curate
-
-        def lookup(address: int) -> bool:
-            nonlocal hits, misses, since_curate
-            since_curate += 1
-            if disabled:
-                misses += 1
-                return False
-            hit = address in entries
-            if hit:
-                hits += 1
-                if is_lru:
-                    move_to_end(address)
-            else:
-                misses += 1
-            if is_htr:
-                counts[address] += 1
-                touch(address)
-                if since_curate >= htr_interval:
-                    buffer._curate()
-                    since_curate = 0
-            return hit
-
-        heappush = heapq.heappush
-
-        def insert(address: int) -> None:
-            if disabled:
-                return
-            if address in entries:
-                if is_lru:
-                    move_to_end(address)
-                return
-            if len(entries) >= capacity:
-                if not buffer._evict_for(address):
-                    return
-            seq = buffer._insertions
-            entries[address] = seq
-            if is_htr:
-                heappush(buffer._heap, (counts[address], seq, address))
-            buffer._insertions += 1
-            if is_fifo:
-                buffer._fifo.append(address)
-
-        def miss(count: int) -> None:
-            """``count`` lookups of a disabled buffer, counted at once."""
-            nonlocal misses, since_curate
-            since_curate += count
-            misses += count
-
-        def snapshot():
-            return hits, misses, since_curate
-
-        return lookup, insert, miss, snapshot
-
-    def sync(self) -> None:
-        """Fold the buffered counters back into the buffer object."""
-        hits, misses, since_curate = self._snapshot()
-        buffer = self._buffer
-        buffer._hits += hits
-        buffer._misses += misses
-        buffer._accesses_since_curate = since_curate
-        self.lookup, self.insert, self.miss, self._snapshot = self._build()
-
-
-__all__ = ["OnSwitchBuffer", "BufferKernel"]
+__all__ = ["OnSwitchBuffer"]

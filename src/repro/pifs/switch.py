@@ -202,9 +202,17 @@ class PIFSSwitchKernel(FabricSwitchKernel):
     :meth:`accumulate` replays the scalar :meth:`PIFSSwitch.accumulate` flow
     — configuration flit, per-row fetch instruction on the upstream link,
     on-switch buffer lookup, device fetch on a miss, accumulate-logic busy
-    time, result writeback — using the port/device/buffer kernels and plain
-    float arithmetic.  Timing and all observable state (buffer contents and
-    statistics, device counters, the process core's earliest-free
+    time, result writeback — using the port and device kernels and plain
+    float arithmetic.  The buffer probe runs inline in the row loop, on
+    the buffer's own resident map and HTR counts: it is the vector
+    engine's only per-row buffer probe, for every policy.  A miss inserts
+    through :meth:`~repro.pifs.onswitch_buffer.OnSwitchBuffer.insert`, and
+    an HTR curation is the buffer's own ``_curate``, run after the
+    triggering row's count and before its insert, as in the scalar
+    :meth:`~repro.pifs.onswitch_buffer.OnSwitchBuffer.lookup`.  Buffer
+    hits, misses and accesses since the last curation accumulate here
+    until :meth:`sync`.  Timing and all observable state (buffer contents
+    and statistics, device counters, the process core's earliest-free
     watermark, sumtag sequence) match the scalar path exactly; the
     transient ACR entry, which every scalar accumulation creates and
     retires before returning, is elided.
@@ -221,7 +229,21 @@ class PIFSSwitchKernel(FabricSwitchKernel):
             # A zero-capacity ACR back-pressures every configuration; the
             # flattened path assumes the (universal) >= 1 case.
             raise RuntimeError("vectorized accumulate requires ACR capacity >= 1")
-        self.buffer = switch.buffer.batch_kernel()
+        # A disabled buffer (policy ``none`` or no capacity) misses every
+        # lookup and ignores every insert.  Resize the buffer before
+        # building a kernel: the kernel snapshots its policy flags.
+        buffer = switch.buffer
+        policy = buffer.config.policy
+        self._buffer = buffer
+        self._buffer_off = policy == "none" or buffer.capacity_rows == 0
+        self._htr = policy == "htr"
+        self._lru = policy == "lru"
+        self._htr_interval = buffer.config.htr_interval
+        # Buffer hits, misses and accesses since the last HTR curation,
+        # folded into the buffer at sync.
+        self._buffer_hits = 0
+        self._buffer_misses = 0
+        self._since_curate = buffer._accesses_since_curate
         core = switch.process_core
         self._configure_ns = core.configure_ns
         self._register_fetch_ns = core.register_fetch_ns
@@ -262,7 +284,8 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         ``configured_ns``), and buffer hits skip their timing arithmetic
         entirely (their finish times are monotone in instruction order, so
         the last hit stands in for all of them), leaving per hit row only
-        the buffer lookup.
+        the buffer probe: a residency test and, under HTR, a count
+        increment and a touched-set add.
         """
         count = len(ks)
         if not count:
@@ -278,12 +301,13 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         register_ns = self._register_fetch_ns
         element_ns = self._element_ns
         hit_ns = self._hit_latency_ns
-        buffer = self.buffer
+        buffer = self._buffer
         last_done = configured_ns
         last_hit = -1
-        if buffer.disabled:
+        if self._buffer_off:
             # Every row misses and nothing is inserted: no probe per row.
-            buffer.miss(count)
+            self._buffer_misses += count
+            self._since_curate += count
             for i in range(count):
                 k = ks[i]
                 # The scalar path adds the register latency and the per-row
@@ -299,8 +323,22 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                 if done > last_done:
                     last_done = done
         else:
-            lookup = buffer.lookup
+            # The buffer probe, inline, in the scalar lookup's order:
+            # residency test, then HTR's count, touched-set add and
+            # curation trigger; a miss fetches from the device and then
+            # inserts through the buffer's own policy.
+            entries = buffer._entries
+            htr = self._htr
+            lru = self._lru
+            move_to_end = entries.move_to_end if lru else None
+            counts = buffer._counts
+            count_of = counts.get
+            touch = buffer._touched.add
             insert = buffer.insert
+            interval = self._htr_interval
+            # The row index whose count triggers the next HTR curation.
+            trigger = max(interval - self._since_curate - 1, 0)
+            misses = 0
             # Buffer hits finish in instruction order (the arrival chain on
             # the serializing upstream link is non-decreasing), so only the
             # last hit's finish time has to be materialized — per hit row
@@ -308,9 +346,19 @@ class PIFSSwitchKernel(FabricSwitchKernel):
             for i in range(count):
                 k = ks[i]
                 address = addr[k]
-                if lookup(address):
+                hit = address in entries
+                if htr:
+                    counts[address] = count_of(address, 0) + 1
+                    touch(address)
+                    if i == trigger:
+                        trigger += interval
+                        buffer._curate()
+                if hit:
                     last_hit = i
+                    if lru:
+                        move_to_end(address)
                 else:
+                    misses += 1
                     data_ready = device_access[devs[i]](
                         cch[k],
                         cfb[k],
@@ -322,6 +370,12 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                     done = data_ready + element_ns
                     if done > last_done:
                         last_done = done
+            self._buffer_misses += misses
+            self._buffer_hits += count - misses
+            if htr:
+                self._since_curate = count + interval - 1 - trigger
+            else:
+                self._since_curate += count
         if last_hit >= 0:
             done = ((arrivals[last_hit] + register_ns) + per_row_overhead_ns + hit_ns) + element_ns
             if done > last_done:
@@ -341,7 +395,12 @@ class PIFSSwitchKernel(FabricSwitchKernel):
         switch = self._switch
         switch._next_sumtag = self._next_sumtag
         switch.process_core.apply_accumulation_batch(self._last_retire_ns)
-        self.buffer.sync()
+        buffer = self._buffer
+        buffer._hits += self._buffer_hits
+        buffer._misses += self._buffer_misses
+        buffer._accesses_since_curate = self._since_curate
+        self._buffer_hits = 0
+        self._buffer_misses = 0
 
 
 __all__ = ["PIFSSwitch", "PIFSSwitchKernel", "RowFetch", "AccumulationOutcome"]

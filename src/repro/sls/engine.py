@@ -472,12 +472,11 @@ class SLSSystem(ABC):
         return self.process_request(request, start_ns, host_id)
 
     def prepare_vector(self, ctx) -> None:
-        """Hook: register system-specific kernels on a fresh vector context.
+        """Hook: bind system-specific state to a fresh vector context.
 
         Called at the end of :class:`~repro.sls.vector.VectorContext`
-        construction; systems with private caches (e.g. RecNMP's rank
-        cache) build their flattened kernels here and append them to
-        ``ctx.extra_kernels`` so they are synced with the rest.
+        construction; systems bind per-host closures over the context's
+        kernels here (PIFS-Rec's local bag closures, RecNMP's route table).
         """
 
     def maintenance(self, now_ns: float) -> float:

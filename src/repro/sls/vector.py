@@ -133,9 +133,6 @@ class VectorContext:
         self.port_host_read = [[port.host_read for port in ports] for ports in port_kernels]
         self.port_transfer = [[port.transfer for port in ports] for ports in port_kernels]
         self.port_stream = [[port.transfer_stream for port in ports] for ports in port_kernels]
-        #: Extra per-system kernels registered via ``prepare_vector`` (e.g.
-        #: RecNMP's rank cache); synced together with the layer kernels.
-        self.extra_kernels: List = []
 
         # Buffered access-recording side effects (flushed before maintenance):
         # the request paths ``extend`` page-id slices onto ``pending_pages``
@@ -356,8 +353,6 @@ class VectorContext:
         for kernel in self.device_kernels:
             kernel.sync()
         for kernel in self.switch_kernels:
-            kernel.sync()
-        for kernel in self.extra_kernels:
             kernel.sync()
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import BufferConfig, PIFSConfig
+from repro.config import BufferConfig, CXLConfig, PIFSConfig
 from repro.cxl.protocol import MemOpcode
 from repro.pifs.instructions import (
     PIFSInstruction,
@@ -13,6 +13,7 @@ from repro.pifs.instructions import (
 from repro.pifs.onswitch_buffer import OnSwitchBuffer
 from repro.pifs.ooo import OutOfOrderAccumulator
 from repro.pifs.process_core import ProcessCore
+from repro.pifs.switch import PIFSSwitch
 
 
 class TestInstructions:
@@ -122,18 +123,43 @@ class TestOnSwitchBuffer:
 
     @pytest.mark.parametrize("policy, capacity", [("none", 0), ("none", 1024), ("lru", 0)])
     def test_disabled_kernel_counts_misses_in_bulk(self, policy, capacity):
-        """``miss(n)`` leaves a disabled buffer as ``n`` scalar lookups do."""
+        """A disabled buffer's switch kernel leaves it as ``n`` scalar lookups do."""
         scalar = self._buffer(policy=policy, capacity=capacity)
-        batched = self._buffer(policy=policy, capacity=capacity)
-        kernel = batched.batch_kernel()
-        assert kernel.disabled
         for address in (0x0, 0x40, 0x0):
             assert scalar.lookup(address) is False
-        kernel.miss(3)
-        kernel.sync()
-        for buffer in (scalar, batched):
+        switch, fetched = self._accumulate(policy, capacity, [0x0, 0x40, 0x0])
+        assert fetched == [0x0, 0x40, 0x0]
+        for buffer in (scalar, switch.buffer):
             assert (buffer.hits, buffer.misses, buffer._accesses_since_curate) == (0, 3, 3)
-        assert not self._buffer(policy="lru").batch_kernel().disabled
+            assert buffer.occupancy == 0
+        switch, fetched = self._accumulate("lru", 1024, [0x0, 0x40, 0x0])
+        assert fetched == [0x0, 0x40]
+        assert (switch.buffer.hits, switch.buffer.misses, switch.buffer.occupancy) == (1, 2, 2)
+
+    def _accumulate(self, policy, capacity, addresses):
+        """One switch-kernel accumulation over stub links and one device.
+
+        Returns the switch, synced, and the addresses fetched from the device.
+        """
+        config = BufferConfig(policy=policy, capacity_bytes=capacity, htr_interval=64)
+        switch = PIFSSwitch(CXLConfig(), PIFSConfig(on_switch_buffer=config), 64)
+        kernel = switch.batch_kernel(64)
+        fetched = []
+        zeros = [0] * len(addresses)
+        kernel.accumulate(
+            lambda nbytes, ns: ns + 1.0,
+            lambda nbytes, ns, rows: [ns + row for row in range(rows)],
+            list(range(len(addresses))),
+            zeros,
+            addresses,
+            zeros,
+            zeros,
+            zeros,
+            [lambda channel, bank, row, address, ns: fetched.append(address) or ns + 10.0],
+            0.0,
+        )
+        kernel.sync()
+        return switch, fetched
 
     def test_occupancy_never_exceeds_capacity(self):
         buf = self._buffer(policy="lru", capacity=256, row_bytes=64)
