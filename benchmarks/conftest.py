@@ -10,6 +10,8 @@ is a functional simulator, not the authors' testbed.
 import json
 import os
 import platform
+import statistics
+import time
 
 import pytest
 
@@ -28,6 +30,41 @@ def scale():
 def run_once(benchmark, func, *args, **kwargs):
     """Run ``func`` exactly once under pytest-benchmark and return its result."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def paired_seconds(runs, repeats):
+    """Time every callable of ``runs`` once per repeat, back to back.
+
+    ``runs`` maps a side's name to a no-argument callable.  The order
+    alternates between repeats, so a slow spell of the host lands on both
+    sides of a pair.  Returns ``{name: [seconds per repeat]}`` and
+    ``{name: the last value the callable returned}``.
+    """
+    names = list(runs)
+    seconds = {name: [] for name in names}
+    results = {}
+    for repeat in range(repeats):
+        for name in names if repeat % 2 == 0 else names[::-1]:
+            started = time.perf_counter()
+            results[name] = runs[name]()
+            seconds[name].append(time.perf_counter() - started)
+    return seconds, results
+
+
+def paired_ratio(numerators, denominators):
+    """The median over repeats of the ratio of two sides' summed times.
+
+    Each argument holds one list of per-repeat times per row (a system, a
+    mode); a repeat's times are summed over the rows before the ratio.
+    """
+    return statistics.median(
+        sum(n) / sum(d) for n, d in zip(zip(*numerators), zip(*denominators))
+    )
+
+
+def best_of_ratio(numerators, denominators):
+    """The ratio of the rows' summed fastest times, the best-of-N statistic."""
+    return sum(map(min, numerators)) / sum(map(min, denominators))
 
 
 def _flag(name: str) -> bool:

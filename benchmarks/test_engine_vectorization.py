@@ -14,15 +14,24 @@ Two floors are pinned:
   are structurally leaner, so their headroom is smaller) must aggregate to
   >= 3x.
 
+Each repeat times the scalar and the vector replay back to back,
+alternating which goes first, so a slow spell of the host lands on both
+sides of a pair; every floor holds the median over repeats of the paired
+scalar/vector ratio (an aggregate sums its systems' times per repeat
+first).  The best-of-N ratio the floors held before is printed beside it.
+
 Set ``REPRO_BENCH_SMOKE=1`` (the CI docs job does) for a shorter replay
 with relaxed floors and no baseline file.
 """
 
 import os
 import pathlib
+import statistics
 import time
 
-from conftest import bench_environment, run_once, write_baseline
+from conftest import (
+    bench_environment, best_of_ratio, paired_ratio, paired_seconds, run_once, write_baseline,
+)
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -63,65 +72,83 @@ def _session(name, engine, model=MODEL):
     return sim
 
 
-def _best_of(repeats, system, workload):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = system.run(workload)
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
-def _replay_grid():
+def _grid(systems, model):
+    """Paired scalar/vector replays of ``systems``, one row per system."""
     rows = []
-    for name in FIG12_SYSTEMS:
+    for name in systems:
         clear_cache()
-        workload = _session(name, "scalar").build_workload()
-        scalar_system = _session(name, "scalar").build_system()
-        vector_system = _session(name, "vector").build_system()
-        scalar_s, scalar_result = _best_of(REPEATS, scalar_system, workload)
-        vector_s, vector_result = _best_of(REPEATS, vector_system, workload)
-        assert vector_system._vector_fallback_reason is None, f"{name}: vector context missing"
-        assert scalar_result.to_dict() == vector_result.to_dict(), (
+        workload = _session(name, "scalar", model).build_workload()
+        engines = {
+            engine: _session(name, engine, model).build_system() for engine in ("scalar", "vector")
+        }
+        runs = {
+            engine: (lambda system=system: system.run(workload))
+            for engine, system in engines.items()
+        }
+        seconds, results = paired_seconds(runs, REPEATS)
+        assert engines["vector"]._vector_fallback_reason is None, f"{name}: vector context missing"
+        assert results["scalar"].to_dict() == results["vector"].to_dict(), (
             f"{name}: vector engine diverged from the scalar oracle"
         )
+        scalar_ms = [s * 1e3 for s in seconds["scalar"]]
+        vector_ms = [s * 1e3 for s in seconds["vector"]]
         rows.append(
             {
                 "system": name,
-                "lookups": scalar_result.lookups,
-                "scalar_ms": scalar_s * 1e3,
-                "vector_ms": vector_s * 1e3,
-                "speedup": scalar_s / vector_s,
+                "lookups": results["scalar"].lookups,
+                "scalar_ms": statistics.median(scalar_ms),
+                "vector_ms": statistics.median(vector_ms),
+                "speedup": paired_ratio([scalar_ms], [vector_ms]),
+                "best_of_speedup": best_of_ratio([scalar_ms], [vector_ms]),
+                "scalar_runs_ms": scalar_ms,
+                "vector_runs_ms": vector_ms,
             }
         )
     return rows
 
 
-def test_engine_vectorization(benchmark):
-    rows = run_once(benchmark, _replay_grid)
+def _aggregate(rows):
+    """``(median paired ratio, best-of ratio)`` of the rows' summed times."""
+    scalar = [r["scalar_runs_ms"] for r in rows]
+    vector = [r["vector_runs_ms"] for r in rows]
+    return paired_ratio(scalar, vector), best_of_ratio(scalar, vector)
 
-    scalar_total = sum(row["scalar_ms"] for row in rows)
-    vector_total = sum(row["vector_ms"] for row in rows)
-    host_scalar = sum(r["scalar_ms"] for r in rows if r["system"] in HOST_CENTRIC)
-    host_vector = sum(r["vector_ms"] for r in rows if r["system"] in HOST_CENTRIC)
-    full_speedup = scalar_total / vector_total
-    host_speedup = host_scalar / host_vector
 
+def _print_rows(rows):
     print()
     print(format_table(
-        ["system", "lookups", "scalar_ms", "vector_ms", "speedup"],
-        [[r["system"], r["lookups"], r["scalar_ms"], r["vector_ms"], r["speedup"]] for r in rows],
+        ["system", "lookups", "scalar_ms", "vector_ms", "speedup", "best_of"],
+        [
+            [r["system"], r["lookups"], r["scalar_ms"], r["vector_ms"], r["speedup"],
+             r["best_of_speedup"]]
+            for r in rows
+        ],
         float_format="{:,.2f}",
     ))
-    print(f"host-centric aggregate ({', '.join(HOST_CENTRIC)}): {host_speedup:.2f}x")
-    print(f"full fig12 grid aggregate: {full_speedup:.2f}x")
+
+
+def test_engine_vectorization(benchmark):
+    rows = run_once(benchmark, _grid, FIG12_SYSTEMS, MODEL)
+
+    full_speedup, full_best_of = _aggregate(rows)
+    host_speedup, host_best_of = _aggregate([r for r in rows if r["system"] in HOST_CENTRIC])
+
+    _print_rows(rows)
+    print(
+        f"host-centric aggregate ({', '.join(HOST_CENTRIC)}): median paired ratio "
+        f"{host_speedup:.2f}x, best-of-{REPEATS} ratio {host_best_of:.2f}x"
+    )
+    print(
+        f"full fig12 grid aggregate: median paired ratio {full_speedup:.2f}x, "
+        f"best-of-{REPEATS} ratio {full_best_of:.2f}x"
+    )
 
     write_baseline(BASELINE_PATH, {
         "benchmark": "engine_vectorization",
         "description": "fig12-scale replay (model RMC2, meta trace, "
         f"{NUM_BATCHES} batches at the default evaluation scale), "
-        "scalar vs vector engine, best of "
-        f"{REPEATS} runs each",
+        f"scalar vs vector engine, {REPEATS} back-to-back pairs (alternating "
+        "order); times are medians, speedups median paired ratios",
         "recorded_unix": int(time.time()),
         "host": bench_environment(),
         "entries": rows,
@@ -148,31 +175,6 @@ def test_engine_vectorization(benchmark):
     )
 
 
-def _fabric_grid():
-    rows = []
-    for name in FABRIC_SYSTEMS:
-        clear_cache()
-        workload = _session(name, "scalar", FABRIC_MODEL).build_workload()
-        scalar_system = _session(name, "scalar", FABRIC_MODEL).build_system()
-        vector_system = _session(name, "vector", FABRIC_MODEL).build_system()
-        scalar_s, scalar_result = _best_of(REPEATS, scalar_system, workload)
-        vector_s, vector_result = _best_of(REPEATS, vector_system, workload)
-        assert vector_system._vector_fallback_reason is None, f"{name}: vector context missing"
-        assert scalar_result.to_dict() == vector_result.to_dict(), (
-            f"{name}: vector engine diverged from the scalar oracle"
-        )
-        rows.append(
-            {
-                "system": name,
-                "lookups": scalar_result.lookups,
-                "scalar_ms": scalar_s * 1e3,
-                "vector_ms": vector_s * 1e3,
-                "speedup": scalar_s / vector_s,
-            }
-        )
-    return rows
-
-
 def test_fabric_kernels(benchmark):
     """The PR-4 fabric-kernel front: in-switch/fabric systems, fig12 scale.
 
@@ -181,29 +183,30 @@ def test_fabric_kernels(benchmark):
     per-system and aggregate speedup floors, and records the
     ``BENCH_fabric_kernels.json`` baseline.
     """
-    rows = run_once(benchmark, _fabric_grid)
+    rows = run_once(benchmark, _grid, FABRIC_SYSTEMS, FABRIC_MODEL)
     by_name = {row["system"]: row for row in rows}
 
-    fabric_speedup = sum(r["scalar_ms"] for r in rows) / sum(r["vector_ms"] for r in rows)
-    pair = [by_name["recnmp"], by_name["pifs-rec"]]
-    pair_speedup = sum(r["scalar_ms"] for r in pair) / sum(r["vector_ms"] for r in pair)
+    fabric_speedup, fabric_best_of = _aggregate(rows)
+    pair_speedup, pair_best_of = _aggregate([by_name["recnmp"], by_name["pifs-rec"]])
     pifs_speedup = by_name["pifs-rec"]["speedup"]
 
-    print()
-    print(format_table(
-        ["system", "lookups", "scalar_ms", "vector_ms", "speedup"],
-        [[r["system"], r["lookups"], r["scalar_ms"], r["vector_ms"], r["speedup"]] for r in rows],
-        float_format="{:,.2f}",
-    ))
-    print(f"fabric-kernel aggregate ({', '.join(FABRIC_SYSTEMS)}): {fabric_speedup:.2f}x")
-    print(f"recnmp+pifs-rec pair: {pair_speedup:.2f}x")
+    _print_rows(rows)
+    print(
+        f"fabric-kernel aggregate ({', '.join(FABRIC_SYSTEMS)}): median paired ratio "
+        f"{fabric_speedup:.2f}x, best-of-{REPEATS} ratio {fabric_best_of:.2f}x"
+    )
+    print(
+        f"recnmp+pifs-rec pair: median paired ratio {pair_speedup:.2f}x, "
+        f"best-of-{REPEATS} ratio {pair_best_of:.2f}x"
+    )
 
     write_baseline(FABRIC_BASELINE_PATH, {
         "benchmark": "fabric_kernels",
         "description": "fig12-scale replay (model "
         f"{FABRIC_MODEL}, meta trace, {NUM_BATCHES} batches at the "
         "default evaluation scale) of the fabric/in-switch systems, "
-        f"scalar vs vector engine, best of {REPEATS} runs each",
+        f"scalar vs vector engine, {REPEATS} back-to-back pairs (alternating "
+        "order); times are medians, speedups median paired ratios",
         "recorded_unix": int(time.time()),
         "host": bench_environment(),
         "entries": rows,

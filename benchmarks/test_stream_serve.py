@@ -22,7 +22,7 @@ import pathlib
 import statistics
 import time
 
-from conftest import bench_environment, run_once, write_baseline
+from conftest import bench_environment, paired_ratio, paired_seconds, run_once, write_baseline
 
 from repro.analysis.report import format_table
 from repro.api.session import Simulation, clear_cache
@@ -55,23 +55,15 @@ def _paired(repeats, run):
     Even repeats run eager first, odd ones streamed first.  Returns the
     eager and the streamed seconds per repeat and each side's last result.
     """
-    seconds = {False: [], True: []}
-    results = {}
-    for repeat in range(repeats):
-        for stream in (False, True) if repeat % 2 == 0 else (True, False):
-            started = time.perf_counter()
-            results[stream] = run(stream)
-            seconds[stream].append(time.perf_counter() - started)
+    seconds, results = paired_seconds({False: lambda: run(False), True: lambda: run(True)}, repeats)
     return seconds[False], seconds[True], results[False], results[True]
 
 
 def _median_paired_ratio(rows, mode):
     """The median over repeats of sum(streamed) / sum(eager) across ``rows``."""
-    ratios = [
-        sum(r[f"stream_{mode}_ms"][i] for r in rows) / sum(r[f"eager_{mode}_ms"][i] for r in rows)
-        for i in range(REPEATS)
-    ]
-    return statistics.median(ratios)
+    return paired_ratio(
+        [r[f"stream_{mode}_ms"] for r in rows], [r[f"eager_{mode}_ms"] for r in rows]
+    )
 
 
 def _serve_once(name, stream):

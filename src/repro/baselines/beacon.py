@@ -75,8 +75,7 @@ class BeaconSystem(SLSSystem):
         self._counters["cxl_rows"] += len(remote_ks)
 
         _, notified = ctx.switch_kernels[0].accumulate(
-            ctx.port_transfer[host_id][0],
-            ctx.port_stream[host_id][0],
+            ctx.port_kernels[host_id][0],
             remote_ks,
             remote_devs,
             ctx.addr,

@@ -163,16 +163,16 @@ class RecNMPSystem(SLSSystem):
         # Route table, built once per session: for every (host, device) the
         # bound closures a remote NMP burst needs — device link, device
         # DRAM, the host's upstream port on the device's switch — plus the
-        # switch forwarding latency.  Closures stay live until the session's
-        # final sync, so the request loop pays one list index per bucket.
+        # switch forwarding latency.  Kernel closures stay valid for the
+        # whole session, so the request loop pays one list index per bucket.
         self._nmp_routes = [
             [
                 (
                     kernel.link_transfer,
                     kernel.link_transfer_seq,
                     kernel.dram.access,
-                    ctx.port_transfer[host_id][switch_id],
-                    ctx.port_stream[host_id][switch_id],
+                    ctx.port_kernels[host_id][switch_id].transfer,
+                    ctx.port_kernels[host_id][switch_id].transfer_stream,
                     ctx.forward_ns[switch_id],
                 )
                 for kernel, switch_id in zip(ctx.device_kernels, ctx.device_switch)

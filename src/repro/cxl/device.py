@@ -164,6 +164,13 @@ class CXLDeviceKernel:
     All arithmetic matches :meth:`CXLType3Device.access` exactly; the link
     crossings (and ``link_transfer``/``link_transfer_seq``) repeat the
     arithmetic of :meth:`~repro.cxl.link.CXLLink.transfer`, their reference.
+
+    An access keeps the link's busy-until time, its queue-delay total, the
+    DRAM timing state and sums (see :class:`~repro.dram.device.DRAMKernel`)
+    and one count of device reads.  :meth:`sync` derives the rest: each
+    read is one request and one response on the link, so the link's bytes
+    and transfers follow from the read count; ``link_transfer`` and
+    ``link_transfer_seq`` count their own.
     """
 
     def __init__(self, device: CXLType3Device, bytes_requested: int) -> None:
@@ -175,7 +182,7 @@ class CXLDeviceKernel:
             self.access_switch,
             self.link_transfer,
             self.link_transfer_seq,
-            self._snapshot,
+            self._drain,
         ) = self._build()
 
     @property
@@ -190,7 +197,6 @@ class CXLDeviceKernel:
         # Per-constant divisions match the scalar per-transfer divisions.
         request_serialization = CACHE_LINE_BYTES / bandwidth
         response_serialization = self._bytes_requested / bandwidth
-        access_bytes = CACHE_LINE_BYTES + self._bytes_requested
         # The DRAM read block below is inlined from DRAMKernel.access (kept
         # in sync with it; the engine equivalence suite guards both): one
         # closure call per device access instead of three.
@@ -202,8 +208,7 @@ class CXLDeviceKernel:
         bank_conflicts = dram.bank_conflicts
         bus_free = dram.bus_free
         dram_busy_ns = dram.busy_ns
-        dram_accesses = dram.accesses
-        dram_box = dram.controller_box
+        dram_latency = dram.latency_total
         hit_ns = dram.hit_ns
         miss_ns = dram.miss_ns
         conflict_ns = dram.conflict_ns
@@ -222,13 +227,14 @@ class CXLDeviceKernel:
         }
         uniform_bias = not region_pen
         busy_until = link.busy_until_ns
-        queued = 0.0
+        queued = link.total_queue_delay_ns
+        # Counts since the last sync: device reads, and the raw transfers.
+        reads = 0
         nbytes = 0
         transfers = 0
-        reads = 0
 
         def access_host(channel: int, flat_bank: int, row: int, arrival_ns: float) -> float:
-            nonlocal busy_until, queued, nbytes, transfers, reads
+            nonlocal busy_until, queued, reads
             reads += 1
             # Request crosses the downstream link ...
             begin = arrival_ns if arrival_ns > busy_until else busy_until
@@ -259,25 +265,19 @@ class CXLDeviceKernel:
             media_done = start_burst + burst_time
             bus_free[channel] = media_done
             dram_busy_ns[channel] += burst_time
-            dram_accesses[channel] += 1
             media_done += dram_overhead
-            dram_box[0] += 1
-            dram_box[1] += media_done - media_start
-            if media_done > dram_box[2]:
-                dram_box[2] = media_done
+            dram_latency[0] += media_done - media_start
             # --- end inlined block ---
             # Response crosses the link back to the switch.
             begin = media_done if media_done > busy_until else busy_until
             queued += begin - media_done
             busy_until = begin + response_serialization
-            nbytes += access_bytes
-            transfers += 2
             return busy_until + propagation
 
         def access_switch(
             channel: int, flat_bank: int, row: int, address: int, arrival_ns: float
         ) -> float:
-            nonlocal busy_until, queued, nbytes, transfers, reads
+            nonlocal busy_until, queued, reads
             reads += 1
             if uniform_bias:
                 bias_penalty = default_pen
@@ -308,18 +308,12 @@ class CXLDeviceKernel:
             media_done = start_burst + burst_time
             bus_free[channel] = media_done
             dram_busy_ns[channel] += burst_time
-            dram_accesses[channel] += 1
             media_done += dram_overhead
-            dram_box[0] += 1
-            dram_box[1] += media_done - media_start
-            if media_done > dram_box[2]:
-                dram_box[2] = media_done
+            dram_latency[0] += media_done - media_start
             # --- end inlined block ---
             begin = media_done if media_done > busy_until else busy_until
             queued += begin - media_done
             busy_until = begin + response_serialization
-            nbytes += access_bytes
-            transfers += 2
             return busy_until + propagation
 
         def link_transfer(bytes_count: int, start_ns: float) -> float:
@@ -359,29 +353,30 @@ class CXLDeviceKernel:
             transfers += len(starts)
             return arrivals
 
-        def snapshot():
-            return busy_until, queued, nbytes, transfers, reads
+        def drain():
+            """The link state and the counts since the last drain, zeroed."""
+            nonlocal reads, nbytes, transfers
+            state = busy_until, queued, reads, nbytes, transfers
+            reads = nbytes = transfers = 0
+            return state
 
-        return access_host, access_switch, link_transfer, link_transfer_seq, snapshot
+        return access_host, access_switch, link_transfer, link_transfer_seq, drain
 
     def sync(self) -> None:
-        """Write counters, link and DRAM state back into the device."""
-        busy_until, queued, nbytes, transfers, reads = self._snapshot()
+        """Write link and DRAM state back into the device and fold in its counts.
+
+        The closures keep running on the same state afterwards.
+        """
+        busy_until, queued, reads, nbytes, transfers = self._drain()
         device = self._device
         device._reads += reads
         link = device.link
         link._busy_until_ns = busy_until
-        link._queued_ns += queued
-        link._bytes_transferred += nbytes
-        link._transfers += transfers
+        link._queued_ns = queued
+        # Each read is a request line down the link and a response back.
+        link._bytes_transferred += reads * (CACHE_LINE_BYTES + self._bytes_requested) + nbytes
+        link._transfers += 2 * reads + transfers
         self.dram.sync()
-        (
-            self.access_host,
-            self.access_switch,
-            self.link_transfer,
-            self.link_transfer_seq,
-            self._snapshot,
-        ) = self._build()
 
 
 __all__ = ["CXLType3Device", "CXLDeviceKernel"]

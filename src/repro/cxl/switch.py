@@ -201,34 +201,51 @@ class SwitchPortKernel:
     a :class:`~repro.cxl.device.CXLDeviceKernel`), upstream data return —
     with the port-link state held in locals.  ``transfer`` exposes the raw
     upstream link for flows that serialize other message types on the same
-    port (the PIFS instruction stream).  ``transfer`` and ``transfer_stream``
-    repeat the arithmetic of :meth:`~repro.cxl.link.CXLLink.transfer`, the
-    reference the engine equivalence suite pins every kernel against.
+    port.  ``link_head()`` hands out the link's busy-until time and
+    queue-delay total to a caller that runs a chain of transfers inline
+    (the PIFS fetch-instruction stream) and ``link_tail`` takes the chain's
+    end back; ``transfer_stream`` serves a caller that reads every arrival
+    of such a chain (RecNMP's NMP command bursts).  ``transfer`` and
+    ``transfer_stream`` repeat the arithmetic of
+    :meth:`~repro.cxl.link.CXLLink.transfer`, the reference the engine
+    equivalence suite pins every kernel against.
+
+    A host read keeps the link's timing state, its queue-delay total and
+    one read count; :meth:`sync` derives the link's bytes and transfers
+    (a command flit up, a row back) and the switch's forwarded requests
+    from the count.
     """
 
-    def __init__(self, switch: FabricSwitch, port: SwitchPort, row_bytes: int, forwarded_cell) -> None:
+    def __init__(self, switch: FabricSwitch, port: SwitchPort, row_bytes: int) -> None:
+        self._switch = switch
         self._link = port.link
+        self.bandwidth_gbps = port.link.bandwidth_gbps
+        self.propagation_ns = port.link.propagation_ns
         self._row_bytes = row_bytes
         self._flit_bytes = switch.config.flit_bytes
         self._forward_ns = type(switch).FORWARD_LATENCY_NS
-        self._forwarded = forwarded_cell
-        self.transfer, self.transfer_stream, self.host_read, self._snapshot = self._build()
+        (
+            self.transfer,
+            self.transfer_stream,
+            self.link_head,
+            self.link_tail,
+            self.host_read,
+            self._drain,
+        ) = self._build()
 
     def _build(self):
         link = self._link
-        bandwidth = link.bandwidth_gbps
-        propagation = link.propagation_ns
-        flit_bytes = self._flit_bytes
-        row_bytes = self._row_bytes
+        bandwidth = self.bandwidth_gbps
+        propagation = self.propagation_ns
         # The scalar path divides per transfer; dividing the same constants
         # once yields the identical doubles.
-        flit_serialization = flit_bytes / bandwidth
-        row_serialization = row_bytes / bandwidth
-        read_bytes = flit_bytes + row_bytes
+        flit_serialization = self._flit_bytes / bandwidth
+        row_serialization = self._row_bytes / bandwidth
         forward_ns = self._forward_ns
-        forwarded = self._forwarded
         busy_until = link.busy_until_ns
-        queued = 0.0
+        queued = link.total_queue_delay_ns
+        # Counts since the last sync: host reads, and the raw transfers.
+        reads = 0
         nbytes = 0
         transfers = 0
 
@@ -245,8 +262,7 @@ class SwitchPortKernel:
         def transfer_stream(bytes_count: int, start_ns: float, count: int) -> list:
             """``count`` equal-size transfers all issued at ``start_ns``.
 
-            One call replaces ``count`` ``transfer`` calls (the PIFS
-            instruction stream, RecNMP's NMP command bursts); the loop body
+            One call replaces ``count`` ``transfer`` calls; the loop body
             is the exact ``transfer`` arithmetic, so the returned arrival
             times are bit-identical.
             """
@@ -267,9 +283,21 @@ class SwitchPortKernel:
             transfers += count
             return arrivals
 
-        def host_read(device_access, channel: int, flat_bank: int, row: int, issue_ns: float) -> float:
+        def link_head():
+            """``(busy_until_ns, queue_delay_total_ns)`` of the link now."""
+            return busy_until, queued
+
+        def link_tail(busy_until_ns: float, queued_ns: float, bytes_count: int, count: int) -> None:
+            """Take back the end of ``count`` inline ``bytes_count`` transfers."""
             nonlocal busy_until, queued, nbytes, transfers
-            forwarded[0] += 1
+            busy_until = busy_until_ns
+            queued = queued_ns
+            nbytes += bytes_count * count
+            transfers += count
+
+        def host_read(device_access, channel: int, flat_bank: int, row: int, issue_ns: float) -> float:
+            nonlocal busy_until, queued, reads
+            reads += 1
             # Upstream command flit, then the switch forwarding latency.
             begin = issue_ns if issue_ns > busy_until else busy_until
             queued += begin - issue_ns
@@ -281,38 +309,44 @@ class SwitchPortKernel:
             begin = data_at_switch if data_at_switch > busy_until else busy_until
             queued += begin - data_at_switch
             busy_until = begin + row_serialization
-            nbytes += read_bytes
-            transfers += 2
             return busy_until + propagation
 
-        def snapshot():
-            return busy_until, queued, nbytes, transfers
+        def drain():
+            """The link state and the counts since the last drain, zeroed."""
+            nonlocal reads, nbytes, transfers
+            state = busy_until, queued, reads, nbytes, transfers
+            reads = nbytes = transfers = 0
+            return state
 
-        return transfer, transfer_stream, host_read, snapshot
+        return transfer, transfer_stream, link_head, link_tail, host_read, drain
 
     def sync(self) -> None:
-        busy_until, queued, nbytes, transfers = self._snapshot()
+        """Write the link state back and fold in the counts since the last sync.
+
+        The closures keep running on the same state afterwards.
+        """
+        busy_until, queued, reads, nbytes, transfers = self._drain()
         link = self._link
         link._busy_until_ns = busy_until
-        link._queued_ns += queued
-        link._bytes_transferred += nbytes
-        link._transfers += transfers
-        self.transfer, self.transfer_stream, self.host_read, self._snapshot = self._build()
+        link._queued_ns = queued
+        link._bytes_transferred += reads * (self._flit_bytes + self._row_bytes) + nbytes
+        link._transfers += 2 * reads + transfers
+        self._switch._forwarded_requests += reads
 
 
 class FabricSwitchKernel:
     """Flattened kernel over one fabric switch and its upstream ports.
 
     Owns one :class:`SwitchPortKernel` per upstream port (created lazily via
-    :meth:`port_kernel`) and the forwarded-request counter they share.
-    Device kernels are owned by the caller (devices may be reachable from
-    several switches' bookkeeping structures).
+    :meth:`port_kernel`); each folds its host reads into the switch's
+    forwarded-request count at :meth:`sync`.  Device kernels are owned by
+    the caller (devices may be reachable from several switches'
+    bookkeeping structures).
     """
 
     def __init__(self, switch: FabricSwitch, row_bytes: int) -> None:
         self._switch = switch
         self._row_bytes = row_bytes
-        self._forwarded = [0]
         self._port_kernels: Dict[int, SwitchPortKernel] = {}
 
     @property
@@ -322,14 +356,12 @@ class FabricSwitchKernel:
     def port_kernel(self, port: SwitchPort) -> SwitchPortKernel:
         kernel = self._port_kernels.get(port.port_id)
         if kernel is None:
-            kernel = SwitchPortKernel(self._switch, port, self._row_bytes, self._forwarded)
+            kernel = SwitchPortKernel(self._switch, port, self._row_bytes)
             self._port_kernels[port.port_id] = kernel
         return kernel
 
     def sync(self) -> None:
-        """Write port-link state and the forwarded counter back to the switch."""
-        self._switch._forwarded_requests += self._forwarded[0]
-        self._forwarded[0] = 0
+        """Write every port's link state and counts back to the switch."""
         for kernel in self._port_kernels.values():
             kernel.sync()
 

@@ -96,12 +96,21 @@ class AddressMapping:
         Returns ``(channel, flat_bank, row)`` where ``flat_bank`` indexes the
         kernel's single bank-state array:
         ``channel * (ranks_per_channel * banks_per_rank) + rank * banks_per_rank + bank``.
+        Rank and bank are the low digits of the line number above the
+        channel and column, so ``rank * banks_per_rank + bank`` and the row
+        come out of one ``divmod`` without decoding them apart.
         """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        if addresses.size and int(addresses.min()) < 0:
+            raise ValueError("addresses must be non-negative")
         cfg = self._config
-        channel, rank, bank, row, _ = self.decode_batch(addresses)
         banks_per_channel = cfg.ranks_per_channel * cfg.banks_per_rank
-        flat_bank = channel * banks_per_channel + rank * cfg.banks_per_rank + bank
-        return channel, flat_bank, row
+        channel = (addresses // CACHE_LINE_BYTES) % cfg.channels
+        row, rank_bank = np.divmod(
+            addresses // (CACHE_LINE_BYTES * cfg.channels * self._lines_per_row),
+            banks_per_channel,
+        )
+        return channel, channel * banks_per_channel + rank_bank, row
 
 
 __all__ = ["AddressMapping", "DecodedAddress"]

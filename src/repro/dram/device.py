@@ -7,7 +7,8 @@ closure services accesses with pure local-variable arithmetic, and
 :meth:`DRAMKernel.sync` writes the evolved state and statistics back into
 the ``Bank``/``Channel``/``DRAMController`` objects.  The kernel performs
 exactly the arithmetic of the scalar path in the same order, so finish
-times are bit-identical.
+times are bit-identical; the statistics that follow from the per-bank
+outcome counts and the bus state are derived at the sync, not per access.
 """
 
 from __future__ import annotations
@@ -108,6 +109,17 @@ class DRAMKernel:
     so each call is a handful of local float operations instead of the
     controller → channel → bank object walk.  Coordinates come from
     :meth:`~repro.dram.address_mapping.AddressMapping.decode_flat_batch`.
+
+    Per access the kernel keeps only the timing state, the float sums whose
+    value depends on addition order (per-channel bus-busy time and the
+    controller's latency total, both running from the device's own values)
+    and the per-bank hit/miss/conflict counts.  :meth:`sync` derives the
+    rest exactly: flat banks are numbered channel by channel, so a
+    channel's accesses and bytes and the controller's request count are
+    sums of bank outcome counts; and the last access to a channel sets its
+    bus-free time to the end of the latest burst on it, so the controller's
+    last finish is the bus-free time plus the controller overhead of a
+    channel touched since the previous sync.
     """
 
     def __init__(self, device: DRAMDevice, bytes_requested: int = CACHE_LINE_BYTES) -> None:
@@ -134,11 +146,10 @@ class DRAMKernel:
                 self.bank_misses.append(0)
                 self.bank_conflicts.append(0)
         self.bus_free = [channel.bus_free_ns for channel in self._channels]
-        self.busy_ns = [0.0 for _ in self._channels]
-        self.accesses = [0 for _ in self._channels]
-        #: [requests, total latency, last finish] — a mutable box so fused
-        #: closures in other kernels can update the controller aggregates.
-        self.controller_box = [0, 0.0, self._controller.last_finish_ns]
+        self.busy_ns = [channel.busy_ns for channel in self._channels]
+        #: The controller's latency total in a one-element list, so fused
+        #: closures in other kernels add to the same running sum.
+        self.latency_total = [self._controller._total_latency_ns]
         # Constants, computed with the scalar path's own expressions so the
         # floating-point values are identical.
         self.hit_ns = timings.cycles_to_ns(timings.row_hit_cycles)
@@ -161,8 +172,7 @@ class DRAMKernel:
         bank_conflicts = self.bank_conflicts
         bus_free = self.bus_free
         busy_ns = self.busy_ns
-        accesses = self.accesses
-        box = self.controller_box
+        latency_total = self.latency_total
         hit_ns = self.hit_ns
         miss_ns = self.miss_ns
         conflict_ns = self.conflict_ns
@@ -192,12 +202,8 @@ class DRAMKernel:
             finish = start_burst + burst_time
             bus_free[channel_index] = finish
             busy_ns[channel_index] += burst_time
-            accesses[channel_index] += 1
             finish += overhead
-            box[0] += 1
-            box[1] += finish - arrival_ns
-            if finish > box[2]:
-                box[2] = finish
+            latency_total[0] += finish - arrival_ns
             return finish
 
         return access
@@ -212,7 +218,8 @@ class DRAMKernel:
         ``accumulate_ns`` per row — with the DRAM bank/bus state *and* the
         loop in one closure, so a whole bag costs one Python call.  Built
         once per session; arithmetic and iteration order are identical to
-        calling :attr:`access` per row.
+        calling :attr:`access` per row, and so are the statistics
+        :meth:`sync` derives.
         """
         bank_open = self.bank_open
         bank_ready = self.bank_ready
@@ -221,8 +228,7 @@ class DRAMKernel:
         bank_conflicts = self.bank_conflicts
         bus_free = self.bus_free
         busy_ns = self.busy_ns
-        accesses = self.accesses
-        box = self.controller_box
+        latency_total = self.latency_total
         hit_ns = self.hit_ns
         miss_ns = self.miss_ns
         conflict_ns = self.conflict_ns
@@ -266,12 +272,8 @@ class DRAMKernel:
                     media_done = start_burst + burst_time
                     bus_free[channel] = media_done
                     busy_ns[channel] += burst_time
-                    accesses[channel] += 1
                     media_done += dram_overhead
-                    box[0] += 1
-                    box[1] += media_done - cursor
-                    if media_done > box[2]:
-                        box[2] = media_done
+                    latency_total[0] += media_done - cursor
                     # --- end inlined block ---
                     done = media_done + overhead_ns
                     if done > group_finish:
@@ -284,34 +286,46 @@ class DRAMKernel:
         return bag
 
     def sync(self) -> None:
-        """Write the kernel's evolved state and statistics back to the device."""
-        for i, bank in enumerate(self._banks):
-            bank._open_row = None if self.bank_open[i] < 0 else self.bank_open[i]
-            bank._next_ready_ns = self.bank_ready[i]
-            bank._hits += self.bank_hits[i]
-            bank._misses += self.bank_misses[i]
-            bank._conflicts += self.bank_conflicts[i]
-            self.bank_hits[i] = 0
-            self.bank_misses[i] = 0
-            self.bank_conflicts[i] = 0
+        """Write the kernel's state back to the device and fold in its counts.
+
+        The bank outcome counts are deltas since the previous sync and are
+        zeroed here; every other list is live state the closures keep
+        using, so the kernel stays usable after a sync.
+        """
+        banks = self._banks
+        bank_hits = self.bank_hits
+        bank_misses = self.bank_misses
+        bank_conflicts = self.bank_conflicts
+        banks_per_channel = len(banks) // len(self._channels)
         bytes_per_access = self._bursts * CACHE_LINE_BYTES
-        for i, channel in enumerate(self._channels):
-            channel._bus_free_ns = self.bus_free[i]
-            channel._busy_ns += self.busy_ns[i]
-            channel._bytes_transferred += self.accesses[i] * bytes_per_access
-            self.busy_ns[i] = 0.0
-            self.accesses[i] = 0
         controller = self._controller
-        box = self.controller_box
-        controller._requests += box[0]
-        controller._total_latency_ns += box[1]
-        if box[2] > controller._last_finish_ns:
-            controller._last_finish_ns = box[2]
-        # Zero the deltas (state lists stay live — fused closures in other
-        # kernels hold references to them) so a later sync cannot
-        # double-count the statistics flushed above.
-        box[0] = 0
-        box[1] = 0.0
+        last_finish = controller._last_finish_ns
+        requests = 0
+        for c, channel in enumerate(self._channels):
+            accesses = 0
+            for i in range(c * banks_per_channel, (c + 1) * banks_per_channel):
+                bank = banks[i]
+                hits, misses, conflicts = bank_hits[i], bank_misses[i], bank_conflicts[i]
+                bank._open_row = None if self.bank_open[i] < 0 else self.bank_open[i]
+                bank._next_ready_ns = self.bank_ready[i]
+                bank._hits += hits
+                bank._misses += misses
+                bank._conflicts += conflicts
+                bank_hits[i] = bank_misses[i] = bank_conflicts[i] = 0
+                accesses += hits + misses + conflicts
+            channel._bus_free_ns = self.bus_free[c]
+            channel._busy_ns = self.busy_ns[c]
+            if accesses:
+                channel._bytes_transferred += accesses * bytes_per_access
+                requests += accesses
+                # The channel's last access finished at its bus-free time
+                # plus the overhead; untouched channels finished nothing.
+                finish = self.bus_free[c] + self.overhead_ns
+                if finish > last_finish:
+                    last_finish = finish
+        controller._requests += requests
+        controller._total_latency_ns = self.latency_total[0]
+        controller._last_finish_ns = last_finish
 
 
 __all__ = ["DRAMDevice", "DRAMKernel", "DRAMStats"]

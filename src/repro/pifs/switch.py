@@ -256,8 +256,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
 
     def accumulate(
         self,
-        port_transfer,
-        port_stream,
+        port,
         ks: Sequence[int],
         devs: Sequence[int],
         addr: Sequence[int],
@@ -273,42 +272,51 @@ class PIFSSwitchKernel(FabricSwitchKernel):
 
         ``ks`` are resolved positions indexing the dispatch unit's columns
         ``addr``/``cch``/``cfb``/``crow`` (address and CXL-DRAM coordinates)
-        and ``devs`` the owning device id aligned with ``ks``;
-        ``port_transfer``/``port_stream`` are the issuing host port's
-        upstream-link closures and ``device_access`` the per-device
-        ``access_switch`` closures indexed by device id.  Returns
-        ``(result_ready_ns, host_notified_ns)``.
+        and ``devs`` the owning device id aligned with ``ks``; ``port`` is
+        the issuing host port's
+        :class:`~repro.cxl.switch.SwitchPortKernel` and ``device_access``
+        the per-device ``access_switch`` closures indexed by device id.
+        Returns ``(result_ready_ns, host_notified_ns)``.
 
-        The whole fetch-instruction stream crosses the upstream link in a
-        single ``port_stream`` call (every instruction is issued at
-        ``configured_ns``), and buffer hits skip their timing arithmetic
-        entirely (their finish times are monotone in instruction order, so
-        the last hit stands in for all of them), leaving per hit row only
-        the buffer probe: a residency test and, under HTR, a count
-        increment and a touched-set add.
+        The fetch-instruction stream crosses the upstream link inside the
+        row loop: every instruction is issued at ``configured_ns``, so
+        after the first each one begins where the previous one finished,
+        and the chain costs one add per row (plus one onto the port's
+        queue-delay total, in the scalar order).  The port hands out its
+        link head and takes the chain's end back.  An arrival time is
+        computed only for a miss and for the last hit: buffer hits finish
+        in instruction order, so the last hit stands in for all of them,
+        leaving per hit row only the buffer probe (a residency test and,
+        under HTR, a count increment and a touched-set add).
         """
         count = len(ks)
         if not count:
             raise ValueError("accumulate() needs at least one row")
+        transfer = port.transfer
         # Step 1: sumtag allocation + configuration instruction.
         self._next_sumtag = (self._next_sumtag + 1) % 512
-        configured_ns = port_transfer(self._flit_bytes, issue_ns) + self._configure_ns
-        # Step 2: the fetch-instruction stream, pipelined on the upstream
-        # link — all issued at configured_ns, so one stream call replays the
-        # per-instruction serialization exactly.
-        arrivals = port_stream(self._slot_bytes, configured_ns, count)
+        configured_ns = transfer(self._flit_bytes, issue_ns) + self._configure_ns
+        # Step 2, inline below: the fetch-instruction chain on the upstream
+        # link.  Only the first instruction can wait for configured_ns.
+        busy, wait = port.link_head()
+        if configured_ns > busy:
+            busy = configured_ns
+        serialization = self._slot_bytes / port.bandwidth_gbps
+        propagation = port.propagation_ns
         # Steps 3-4: per-row buffer/device data path and accumulation.
         register_ns = self._register_fetch_ns
         element_ns = self._element_ns
-        hit_ns = self._hit_latency_ns
         buffer = self._buffer
         last_done = configured_ns
-        last_hit = -1
+        # The link busy-until time at the last hit's instruction; no hit yet.
+        hit_busy = -1.0
         if self._buffer_off:
             # Every row misses and nothing is inserted: no probe per row.
             self._buffer_misses += count
             self._since_curate += count
             for i in range(count):
+                wait += busy - configured_ns
+                busy += serialization
                 k = ks[i]
                 # The scalar path adds the register latency and the per-row
                 # overhead (BEACON's address translation) as separate sums.
@@ -317,7 +325,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                     cfb[k],
                     crow[k],
                     addr[k],
-                    (arrivals[i] + register_ns) + per_row_overhead_ns,
+                    ((busy + propagation) + register_ns) + per_row_overhead_ns,
                 )
                 done = data_ready + element_ns
                 if done > last_done:
@@ -339,11 +347,9 @@ class PIFSSwitchKernel(FabricSwitchKernel):
             # The row index whose count triggers the next HTR curation.
             trigger = max(interval - self._since_curate - 1, 0)
             misses = 0
-            # Buffer hits finish in instruction order (the arrival chain on
-            # the serializing upstream link is non-decreasing), so only the
-            # last hit's finish time has to be materialized — per hit row
-            # the loop below does the buffer probe and nothing else.
             for i in range(count):
+                wait += busy - configured_ns
+                busy += serialization
                 k = ks[i]
                 address = addr[k]
                 hit = address in entries
@@ -354,7 +360,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                         trigger += interval
                         buffer._curate()
                 if hit:
-                    last_hit = i
+                    hit_busy = busy
                     if lru:
                         move_to_end(address)
                 else:
@@ -364,7 +370,7 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                         cfb[k],
                         crow[k],
                         address,
-                        (arrivals[i] + register_ns) + per_row_overhead_ns,
+                        ((busy + propagation) + register_ns) + per_row_overhead_ns,
                     )
                     insert(address)
                     done = data_ready + element_ns
@@ -376,15 +382,17 @@ class PIFSSwitchKernel(FabricSwitchKernel):
                 self._since_curate = count + interval - 1 - trigger
             else:
                 self._since_curate += count
-        if last_hit >= 0:
-            done = ((arrivals[last_hit] + register_ns) + per_row_overhead_ns + hit_ns) + element_ns
+        port.link_tail(busy, wait, self._slot_bytes, count)
+        if hit_busy >= 0.0:
+            arrival = hit_busy + propagation
+            done = ((arrival + register_ns) + per_row_overhead_ns + self._hit_latency_ns) + element_ns
             if done > last_done:
                 last_done = done
         if last_done > self._last_retire_ns:
             self._last_retire_ns = last_done
         # Step 5: result writeback to the host's reserved address.
         if notify_host:
-            notified = port_transfer(self._row_bytes, last_done)
+            notified = transfer(self._row_bytes, last_done)
         else:
             notified = last_done
         return last_done, notified

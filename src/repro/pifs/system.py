@@ -194,14 +194,12 @@ class PIFSRecSystem(SLSSystem):
         self._counters["cxl_rows"] += len(remote_ks)
 
         dev_access = ctx.dev_access_switch
-        port_transfers = ctx.port_transfer[host_id]
-        port_streams = ctx.port_stream[host_id]
+        ports = ctx.port_kernels[host_id]
         if ctx.single_switch:
             # One switch: it is every host's home switch and the coordinator
             # is disabled, so the whole remote set is one accumulation.
             _, remote_done = ctx.switch_kernels[0].accumulate(
-                port_transfers[0],
-                port_streams[0],
+                ports[0],
                 remote_ks,
                 remote_devs,
                 addr,
@@ -227,8 +225,7 @@ class PIFSRecSystem(SLSSystem):
                 kernel = ctx.switch_kernels[switch_id]
                 is_home = switch_id == home_switch_id
                 result_ready, notified = kernel.accumulate(
-                    port_transfers[switch_id],
-                    port_streams[switch_id],
+                    ports[switch_id],
                     switch_ks,
                     switch_devs,
                     addr,

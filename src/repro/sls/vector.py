@@ -116,9 +116,10 @@ class VectorContext:
         self.forward_ns: List[float] = [
             type(switch).FORWARD_LATENCY_NS for switch in backends.switches
         ]
-        # The kernels' bound closures as flat lists, indexed by host, device
-        # and switch id.  They stay valid until the session's final sync.
-        port_kernels = [
+        # The upstream port kernels, indexed by host and switch id, and the
+        # per-row closures as flat lists, indexed by host, device and switch
+        # id.  A sync leaves every closure valid.
+        self.port_kernels = [
             [
                 self.switch_kernels[switch_id].port_kernel(
                     backends.host_ports[(host_id, switch_id)]
@@ -130,9 +131,7 @@ class VectorContext:
         self.local_access = [kernel.access for kernel in self.local_dram_kernels]
         self.dev_access_host = [kernel.access_host for kernel in self.device_kernels]
         self.dev_access_switch = [kernel.access_switch for kernel in self.device_kernels]
-        self.port_host_read = [[port.host_read for port in ports] for ports in port_kernels]
-        self.port_transfer = [[port.transfer for port in ports] for ports in port_kernels]
-        self.port_stream = [[port.transfer_stream for port in ports] for ports in port_kernels]
+        self.port_host_read = [[port.host_read for port in ports] for ports in self.port_kernels]
 
         # Buffered access-recording side effects (flushed before maintenance):
         # the request paths ``extend`` page-id slices onto ``pending_pages``
@@ -169,14 +168,13 @@ class VectorContext:
         else:
             addresses = np.zeros(0, dtype=np.int64)
         self._addresses = addresses.astype(np.int64, copy=False)
-        lengths = np.fromiter(
-            (len(request.addresses) for request in requests), dtype=np.int64, count=len(requests)
-        )
-        ends = np.cumsum(lengths)
-        self._spans = dict(zip(
-            [request.request_id for request in requests],
-            zip((ends - lengths).tolist(), ends.tolist()),
-        ))
+        spans = {}
+        end = 0
+        for request in requests:
+            begin = end
+            end += len(request.addresses)
+            spans[request.request_id] = (begin, end)
+        self._spans = spans
         self._forget_block()
 
     def _forget_block(self) -> None:
@@ -344,8 +342,11 @@ class VectorContext:
     def flush_all(self) -> None:
         """Flush counters and write every kernel's state back to the models.
 
-        The session's last call on the context: the exported closures are
-        not re-armed after the sync, and the engine drops the context.
+        Each kernel writes its timing state and float sums back and folds
+        in the counts it kept since its previous sync, then zeroes them;
+        its closures keep running on the same state, so a sync may come
+        mid-session.  The engine calls this last in a session and then
+        drops the context.
         """
         self.flush_tiered()
         for kernel in self.local_dram_kernels:

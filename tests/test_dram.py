@@ -1,6 +1,9 @@
 """Tests for the DRAM substrate (repro.dram)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CACHE_LINE_BYTES, DDR5_TIMINGS, DRAMConfig
 from repro.dram.address_mapping import AddressMapping
@@ -38,6 +41,31 @@ class TestAddressMapping:
     def test_negative_address_rejected(self, config):
         with pytest.raises(ValueError):
             AddressMapping(config).decode(-1)
+
+    @given(
+        channels=st.sampled_from([1, 2, 3, 4, 12]),
+        ranks=st.integers(min_value=1, max_value=4),
+        banks=st.sampled_from([1, 3, 4, 16]),
+        row_size=st.sampled_from([16, 32, 64, 128, 1024, 8192]),
+        addresses=st.lists(st.integers(min_value=0, max_value=1 << 45), max_size=32),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flat_batch_decode_matches_scalar(self, channels, ranks, banks, row_size, addresses):
+        """The kernels' flat coordinates are the scalar decode's, for any shape
+        (12 channels as in local DDR5, rows shorter than a cache line)."""
+        mapping = AddressMapping(DRAMConfig(
+            channels=channels, ranks_per_channel=ranks, banks_per_rank=banks,
+            row_size_bytes=row_size,
+        ))
+        channel, flat_bank, row = mapping.decode_flat_batch(np.array(addresses, dtype=np.int64))
+        expected = []
+        for address in addresses:
+            decoded = mapping.decode(address)
+            flat = (decoded.channel * ranks + decoded.rank) * banks + decoded.bank
+            expected.append((decoded.channel, flat, decoded.row))
+        assert list(zip(channel.tolist(), flat_bank.tolist(), row.tolist())) == expected
+        with pytest.raises(ValueError):
+            mapping.decode_flat_batch(np.array(addresses + [-1], dtype=np.int64))
 
     def test_bank_key_hashable(self, config):
         decoded = AddressMapping(config).decode(0)

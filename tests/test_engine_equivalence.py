@@ -395,33 +395,148 @@ class TestBatchedPrimitives:
                 ch[i], rank[i], bank[i], row[i], col[i],
             )
 
-    def test_kernel_link_transfers_match_scalar(self):
-        """The port and device kernels repeat ``CXLLink.transfer`` exactly."""
-        from repro.config import CXLConfig, DDR4_CXL_CONFIG
+    @pytest.mark.parametrize("policy", ["htr", "lru", "none"])
+    def test_folded_counters_match_scalar_through_two_syncs(self, policy):
+        """Every kernel path, synced twice, leaves the models as its scalar twin.
+
+        The row loops keep timing state, order-dependent float sums and the
+        per-bank outcome counts; every other statistic is derived at the
+        sync from counts kept since the previous one.  Each DRAM's channel
+        0 is touched by the scalar path before the kernels exist, the odd
+        channels (the last among them) never are, and device 1 is never
+        read, so its controller keeps a last finish of 0.  The closures
+        taken before the first sync are used after it.
+        """
+        from repro.config import (
+            DDR4_CXL_CONFIG, DDR5_LOCAL_CONFIG, BufferConfig, CXLConfig, PIFSConfig,
+        )
+        from repro.cxl.bias_table import BiasMode
         from repro.cxl.device import CXLType3Device
-        from repro.cxl.switch import FabricSwitch
+        from repro.pifs.host import PIFSHost
+        from repro.pifs.switch import PIFSSwitch, RowFetch
 
-        starts = [0.0, 1.0, 1.5, 100.0, 100.0]
+        row_bytes = 128  # two bursts per access
+        host = PIFSHost(0, DEFAULT_SYSTEM)
+        overhead = 3.0
+        translation = 20.0 if policy == "none" else 0.0
+        buffer = BufferConfig(policy=policy, capacity_bytes=4 * row_bytes, htr_interval=4)
 
-        def check(scalar_link, batch_link, kernel, got, stream_starts):
-            expected = [scalar_link.transfer(64, s) for s in starts]
-            expected += [scalar_link.transfer(16, s) for s in stream_starts]
-            kernel.sync()
+        def machine():
+            switch = PIFSSwitch(CXLConfig(), PIFSConfig(on_switch_buffer=buffer), row_bytes)
+            port = switch.attach_host("host0")
+            devices = [CXLType3Device(i, DDR4_CXL_CONFIG, CXLConfig()) for i in range(2)]
+            for device in devices:
+                switch.attach_device(device)
+            # Device bias over the first half of the rows: both penalties occur.
+            devices[0].bias_table.set_mode(0, BiasMode.DEVICE, 1 << 16)
+            dram = DRAMDevice(DDR5_LOCAL_CONFIG)
+            # Channel 0 of every DRAM, late, before any kernel is built.
+            dram.access(0, 5000.0, bytes_requested=row_bytes)
+            switch.host_read(port, 0, 0, 5000.0, bytes_requested=row_bytes)
+            return switch, port, devices, dram
+
+        def links(link):
+            return (link.busy_until_ns, link.total_queue_delay_ns, link.transfers,
+                    link.bytes_transferred)
+
+        def fingerprint(switch, port, devices, dram):
+            drams = [dram] + [device.dram for device in devices]
+            return dict(
+                drams=[
+                    (d.stats().__dict__, d.controller.last_finish_ns,
+                     [(c.bus_free_ns, c.busy_ns, c.bytes_transferred)
+                      for c in d.controller.channels],
+                     [(b.hits, b.misses, b.conflicts, b.open_row, b.next_ready_ns)
+                      for c in d.controller.channels for b in c.banks])
+                    for d in drams
+                ],
+                devices=[(device.reads, links(device.link)) for device in devices],
+                port=links(port.link),
+                forwarded=switch.forwarded_requests,
+                buffer=(switch.buffer.hits, switch.buffer.misses, sorted(switch.buffer._entries)),
+                core=(switch.process_core._earliest_free_ns, switch._next_sumtag),
+            )
+
+        scalar = machine()
+        batched = machine()
+        switch, port, devices, dram = scalar
+        dram_kernel = batched[3].batch_kernel(row_bytes)
+        device_kernels = [device.batch_kernel(row_bytes) for device in batched[2]]
+        switch_kernel = batched[0].batch_kernel(row_bytes)
+        port_kernel = switch_kernel.port_kernel(batched[1])
+        kernel = device_kernels[0]
+        access, access_host, access_switch = (
+            dram_kernel.access, kernel.access_host, kernel.access_switch
+        )
+        bag = dram_kernel.mlp_bag(host.LOCAL_MLP, overhead, host.HOST_ACCUMULATE_NS_PER_ROW)
+        host_read, transfer, stream = (
+            port_kernel.host_read, port_kernel.transfer, port_kernel.transfer_stream
+        )
+        link_transfer, link_seq = kernel.link_transfer, kernel.link_transfer_seq
+        switch_access = [k.access_switch for k in device_kernels]
+
+        rng = np.random.default_rng(11)
+        for base in (0.0, 20000.0):
+            # Even lines only: the odd channels stay untouched.
+            addresses = (rng.integers(0, 1 << 10, size=24) * row_bytes).tolist()
+            times = (base + np.sort(rng.uniform(0.0, 400.0, size=24))).tolist()
+            lch, lfb, lrow = (
+                c.tolist() for c in dram_kernel.mapping.decode_flat_batch(np.array(addresses))
+            )
+            cch, cfb, crow = (
+                c.tolist() for c in kernel.mapping.decode_flat_batch(np.array(addresses))
+            )
+            expected, got = [], []
+            for i in range(8):
+                expected.append(dram.access(addresses[i], times[i], bytes_requested=row_bytes))
+                got.append(access(lch[i], lfb[i], lrow[i], times[i]))
+            local = addresses[8:20]
+            expected.append(host.accumulate_local(
+                local, times[8],
+                lambda a, t: dram.access(a, t, bytes_requested=row_bytes) + overhead,
+            ))
+            got.append(bag(list(range(8, 20)), lch, lfb, lrow, times[8]))
+            for i in range(8):
+                expected.append(devices[0].access(
+                    addresses[i], times[i], bytes_requested=row_bytes, from_switch=i % 2 == 1
+                ))
+                got.append(
+                    access_host(cch[i], cfb[i], crow[i], times[i]) if i % 2 == 0
+                    else access_switch(cch[i], cfb[i], crow[i], addresses[i], times[i])
+                )
+            expected += [devices[0].link.transfer(64, t) for t in times[:3]]
+            got += [link_transfer(64, t) for t in times[:3]]
+            expected += [devices[0].link.transfer(16, t + 0.5) for t in times[3:6]]
+            got += link_seq(16, times[3:6], 0.5)
+            for i in range(8, 14):
+                expected.append(switch.host_read(
+                    port, 0, addresses[i], times[i], bytes_requested=row_bytes
+                ))
+                got.append(host_read(access_host, cch[i], cfb[i], crow[i], times[i]))
+            expected += [port.link.transfer(64, times[14])]
+            expected += [port.link.transfer(16, times[15]) for _ in range(3)]
+            got += [transfer(64, times[14])] + stream(16, times[15], 3)
+            # Repeated rows, so buffers hit; the last accumulation hits on
+            # every row under a buffer, so its result is the last hit's.
+            for rows in ([16, 17, 16, 18, 17, 16], [19, 16, 20, 19, 21, 22, 16], [16] * 3):
+                outcome = switch.accumulate(
+                    [RowFetch(address=addresses[k], device_id=0) for k in rows],
+                    host_port=port, issue_ns=times[rows[0]],
+                    per_row_overhead_ns=translation,
+                )
+                expected += [outcome.result_ready_ns, outcome.host_notified_ns]
+                got += list(switch_kernel.accumulate(
+                    port_kernel, rows, [0] * len(rows), addresses, cch, cfb, crow,
+                    switch_access, times[rows[0]], per_row_overhead_ns=translation,
+                ))
             assert got == expected
-            for name in ("busy_until_ns", "total_queue_delay_ns", "transfers", "bytes_transferred"):
-                assert getattr(batch_link, name) == getattr(scalar_link, name)
-
-        switches = [FabricSwitch(CXLConfig()) for _ in range(2)]
-        ports = [switch.attach_host("host0") for switch in switches]
-        kernel = switches[1].batch_kernel(64).port_kernel(ports[1])
-        got = [kernel.transfer(64, s) for s in starts] + kernel.transfer_stream(16, 200.0, 3)
-        check(ports[0].link, ports[1].link, kernel, got, [200.0] * 3)
-
-        devices = [CXLType3Device(0, DDR4_CXL_CONFIG, CXLConfig()) for _ in range(2)]
-        kernel = devices[1].batch_kernel(64)
-        got = [kernel.link_transfer(64, s) for s in starts]
-        got += kernel.link_transfer_seq(16, starts, 0.5)
-        check(devices[0].link, devices[1].link, kernel, got, [s + 0.5 for s in starts])
+            dram_kernel.sync()
+            for k in device_kernels:
+                k.sync()
+            switch_kernel.sync()
+            assert fingerprint(*batched) == fingerprint(*scalar)
+        assert devices[1].dram.controller.last_finish_ns == 0.0
+        assert switch.buffer.hits > 0 or policy == "none"
 
     def test_record_accesses_matches_scalar_loop(self):
         def fresh():

@@ -79,13 +79,12 @@ def _state(buffer):
     )
 
 
-def _accumulate(kernel, addresses):
-    """One in-switch accumulation of ``addresses`` over stub links and one device."""
+def _accumulate(kernel, port, addresses):
+    """One in-switch accumulation of ``addresses`` from ``port`` over one stub device."""
     count = len(addresses)
     zeros = [0] * count
     kernel.accumulate(
-        lambda nbytes, ns: ns + 1.0,
-        lambda nbytes, ns, rows: [ns + row for row in range(rows)],
+        kernel.port_kernel(port),
         list(range(count)),
         zeros,
         addresses,
@@ -148,6 +147,7 @@ def _replay(case):
     scalar = OnSwitchBuffer(config, ROW_BYTES)
     switch = PIFSSwitch(CXLConfig(), PIFSConfig(on_switch_buffer=config), ROW_BYTES)
     batched = switch.buffer
+    port = switch.attach_host("host0")
     kernel = switch.batch_kernel(ROW_BYTES)
     addresses = [case["addresses"][row] for row in case["rows"]]
     events = set()
@@ -178,7 +178,7 @@ def _replay(case):
             assert _state(scalar) == _state(reference)
         if len(set(chunk)) < len(chunk):
             events.add("repeat")
-        _accumulate(kernel, chunk)
+        _accumulate(kernel, port, chunk)
         assert _state(batched) == _state(reference)
         if step % case["sync_every"] == 0:
             kernel.sync()

@@ -137,18 +137,18 @@ class TestOnSwitchBuffer:
         assert (switch.buffer.hits, switch.buffer.misses, switch.buffer.occupancy) == (1, 2, 2)
 
     def _accumulate(self, policy, capacity, addresses):
-        """One switch-kernel accumulation over stub links and one device.
+        """One switch-kernel accumulation from a host port over one stub device.
 
         Returns the switch, synced, and the addresses fetched from the device.
         """
         config = BufferConfig(policy=policy, capacity_bytes=capacity, htr_interval=64)
         switch = PIFSSwitch(CXLConfig(), PIFSConfig(on_switch_buffer=config), 64)
+        port = switch.attach_host("host0")
         kernel = switch.batch_kernel(64)
         fetched = []
         zeros = [0] * len(addresses)
         kernel.accumulate(
-            lambda nbytes, ns: ns + 1.0,
-            lambda nbytes, ns, rows: [ns + row for row in range(rows)],
+            kernel.port_kernel(port),
             list(range(len(addresses))),
             zeros,
             addresses,
