@@ -3,19 +3,25 @@
 ``build_workload`` used to compute every row address with a per-row Python
 call to ``space.row_address`` and ``unique_pages`` built a Python set one
 request at a time.  Both are now single ``np.ndarray`` operations; this
-benchmark pins the equivalence and the speedup.
+benchmark pins the equivalence and the speedup.  The scalar and vectorized
+constructions run back to back in each repeat
+(:func:`conftest.paired_seconds`), so a slow spell of the host lands on
+both sides of a pair.
 """
 
 import time
 
 import numpy as np
-from conftest import run_once
+from conftest import best_of_ratio, paired_ratio, paired_seconds, run_once
 
 from repro.analysis.report import format_table
 from repro.config import WorkloadConfig
 from repro.traces.meta import generate_meta_like_trace
 from repro.traces.synthetic import TraceDistribution
 from repro.traces.workload import build_workload
+
+#: Paired repeats of the scalar and vectorized constructions.
+REPEATS = 3
 
 
 def _bench_config(scale):
@@ -52,20 +58,14 @@ def _scalar_addresses(config):
     return per_bag
 
 
-def _best_of(repeats, func, *args):
-    best, result = float("inf"), None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = func(*args)
-        best = min(best, time.perf_counter() - started)
-    return best, result
-
-
 def test_workload_build_vectorization(benchmark, scale):
     config = _bench_config(scale)
     workload = run_once(benchmark, build_workload, config)
-    vector_s, _ = _best_of(3, build_workload, config)
-    scalar_s, reference = _best_of(3, _scalar_addresses, config)
+    seconds, results = paired_seconds(
+        {"scalar": lambda: _scalar_addresses(config), "vector": lambda: build_workload(config)},
+        REPEATS,
+    )
+    reference = results["scalar"]
 
     # Bit-identical addresses, bag by bag.
     assert len(reference) == len(workload.requests)
@@ -77,18 +77,24 @@ def test_workload_build_vectorization(benchmark, scale):
     page_size = workload.address_space.page_size
     for request in workload.requests:
         pages.update((request.addresses // page_size).tolist())
-    unique_s, unique = _best_of(3, workload.unique_pages)
+    started = time.perf_counter()
+    unique = workload.unique_pages()
+    unique_s = time.perf_counter() - started
     assert unique == len(pages)
 
+    scalar_s, vector_s = [seconds["scalar"]], [seconds["vector"]]
+    speedup = paired_ratio(scalar_s, vector_s)
     print()
     print(format_table(
-        ["path", "scalar_ms", "vectorized_ms", "speedup"],
-        [["build_workload", scalar_s * 1e3, vector_s * 1e3, scalar_s / vector_s]],
+        ["path", "scalar_ms", "vectorized_ms", "speedup", "best_of_speedup"],
+        [["build_workload", min(scalar_s[0]) * 1e3, min(vector_s[0]) * 1e3, speedup,
+          best_of_ratio(scalar_s, vector_s)]],
         float_format="{:,.2f}",
     ))
     print(f"unique_pages: {unique} pages in {unique_s * 1e3:.2f} ms")
 
     # The vectorized builder does strictly more work than the scalar
     # reference (it also assembles the request objects), yet must still win
-    # clearly; 2x is a conservative floor for the observed ~5-10x.
-    assert scalar_s / vector_s > 2.0
+    # clearly; 2x is a conservative floor for the observed ~5-10x.  The
+    # floor holds the median paired ratio.
+    assert speedup > 2.0

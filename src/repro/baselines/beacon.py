@@ -49,7 +49,6 @@ class BeaconSystem(SLSSystem):
             address = int(address)
             self.tiered.record_access(address)
             rows.append(RowFetch(address=address, device_id=self.device_of_address(address)))
-        self._counters["cxl_rows"] += len(rows)
 
         switch = self.backends.switches[0]
         assert isinstance(switch, PIFSSwitch)
@@ -70,9 +69,6 @@ class BeaconSystem(SLSSystem):
         begin, end = ctx.locate(request.request_id)
         # CXL-only placement: the precomputed split is the whole bag.
         _, remote_ks, remote_devs, _ = ctx.split(begin, end)
-        # Every row is recorded: one C-level bulk append for the bag.
-        ctx.pending_pages.extend(ctx.page[begin:end])
-        self._counters["cxl_rows"] += len(remote_ks)
 
         _, notified = ctx.switch_kernels[0].accumulate(
             ctx.port_kernels[host_id][0],

@@ -49,7 +49,6 @@ class PondPMSystem(SLSSystem):
 
     def maintenance(self, now_ns: float) -> float:
         cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
-        self.add_migration_cost(cost)
         return self.tiered.migration_stall_ns(cost)
 
 

@@ -70,6 +70,10 @@ class RecNMPSystem(SLSSystem):
         )
         self._rank_cache = OnSwitchBuffer(cache_config, workload.model.embedding_row_bytes)
 
+    def row_buffers(self) -> List[OnSwitchBuffer]:
+        """The RankCache: its lookup counts are the result's buffer hits and misses."""
+        return [self._rank_cache]
+
     # ------------------------------------------------------------------
     def _nmp_accumulate(self, addresses: List[int], start_ns: float) -> float:
         """Near-memory accumulation of locally resident rows."""
@@ -79,12 +83,9 @@ class RecNMPSystem(SLSSystem):
         last_row = issue
         for address in addresses:
             self.tiered.record_access(address)
-            self._counters["local_rows"] += 1
             if self._rank_cache.lookup(address):
-                self._counters["buffer_hits"] += 1
                 ready = issue + self._rank_cache.hit_latency_ns()
             else:
-                self._counters["buffer_misses"] += 1
                 ready = self.backends.local_dram.access(
                     address, issue, bytes_requested=self.backends.row_bytes
                 )
@@ -109,7 +110,6 @@ class RecNMPSystem(SLSSystem):
             last_row = start_ns
             for address in device_addresses:
                 self.tiered.record_access(address)
-                self._counters["cxl_rows"] += 1
                 command_at_switch = (
                     port.link.transfer(
                         self.system.cxl.slot_bytes, start_ns, op=Priority.INSTRUCTION
@@ -123,10 +123,8 @@ class RecNMPSystem(SLSSystem):
                     + controller_penalty
                 )
                 if self._rank_cache.lookup(address):
-                    self._counters["buffer_hits"] += 1
                     ready = command_at_dimm + self._rank_cache.hit_latency_ns()
                 else:
-                    self._counters["buffer_misses"] += 1
                     ready = device.dram.access(
                         address, command_at_dimm, bytes_requested=self.backends.row_bytes
                     )
@@ -186,16 +184,11 @@ class RecNMPSystem(SLSSystem):
         begin, end = ctx.locate(request.request_id)
         local_ks, remote_ks, remote_devs, _ = ctx.split(begin, end)
         addr = ctx.addr
-        counters = self._counters
-        # Every row is recorded: one C-level bulk append for the bag.
-        ctx.pending_pages.extend(ctx.page[begin:end])
         cache = self._rank_cache
         lookup = cache.lookup
         insert = cache.insert
         hit_ns = cache.hit_latency_ns()
         accumulate_ns = self.NMP_ACCUMULATE_NS
-        hits = 0
-        misses = 0
 
         by_device: dict = {}
         for j, k in enumerate(remote_ks):
@@ -219,18 +212,15 @@ class RecNMPSystem(SLSSystem):
                 if lookup(addr[k]):
                     any_hit = True
                 else:
-                    misses += 1
                     ready = dram_access(lch[k], lfb[k], lrow[k], issue)
                     insert(addr[k])
                     done = ready + accumulate_ns
                     if done > last_row:
                         last_row = done
             if any_hit:
-                hits += len(local_ks) - misses
                 done = (issue + hit_ns) + accumulate_ns
                 if done > last_row:
                     last_row = done
-            counters["local_rows"] += len(local_ks)
             local_done = last_row + self.NMP_RESULT_NS
 
         # Remote rows: NMP inside the CXL expanders, one partial per device.
@@ -241,7 +231,6 @@ class RecNMPSystem(SLSSystem):
             slot_bytes = self.system.cxl.slot_bytes
             row_bytes = ctx.row_bytes
             cxl_overhead = self.HOST_CXL_OVERHEAD_NS
-            remote_rows = 0
             best = None
             routes = self._nmp_routes[host_id]
             for device_id, ks in by_device.items():
@@ -249,7 +238,6 @@ class RecNMPSystem(SLSSystem):
                     device_id
                 ]
                 count = len(ks)
-                remote_rows += count
                 # The per-row NMP commands are all issued at start_ns: one
                 # stream call crosses the upstream port, one sequenced call
                 # the device link — the same serialization chains as the
@@ -263,13 +251,11 @@ class RecNMPSystem(SLSSystem):
                 # is non-decreasing): the last hit stands in for all of
                 # them, so per hit row only the lookup runs.
                 last_hit = -1
-                bucket_misses = 0
                 for i in range(count):
                     k = ks[i]
                     if lookup(addr[k]):
                         last_hit = i
                     else:
-                        bucket_misses += 1
                         ready = dram_access(
                             cch[k], cfb[k], crow[k], commands_at_dimm[i] + controller_penalty
                         )
@@ -281,25 +267,19 @@ class RecNMPSystem(SLSSystem):
                     done = ((commands_at_dimm[last_hit] + controller_penalty) + hit_ns) + accumulate_ns
                     if done > last_row:
                         last_row = done
-                hits += count - bucket_misses
-                misses += bucket_misses
                 result_at_switch = link_transfer(row_bytes, last_row)
                 result_at_host = port_transfer(row_bytes, result_at_switch)
                 finish = result_at_host + cxl_overhead
                 if best is None or finish > best:
                     best = finish
-            counters["cxl_rows"] += remote_rows
             remote_done = best + len(by_device) * self.HOST_ACCUMULATE_NS_PER_ROW
 
-        counters["buffer_hits"] += hits
-        counters["buffer_misses"] += misses
         return local_done if local_done > remote_done else remote_done
 
     def maintenance(self, now_ns: float) -> float:
         if not self.page_management:
             return 0.0
         cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
-        self.add_migration_cost(cost)
         # The epoch runs on the OS path, so queries see the page-block share.
         return self.tiered.migration_stall_ns(cost, "page_block")
 

@@ -51,6 +51,10 @@ class BiasTable:
         """Return the bias mode governing ``address``."""
         return self._entries.get(self._region(address), self._default)
 
+    def set_default(self, mode: BiasMode) -> None:
+        """Set the bias of every region that has no entry of its own."""
+        self._default = mode
+
     def set_mode(self, address: int, mode: BiasMode, length_bytes: int = 0) -> None:
         """Set the bias of the region(s) covering ``[address, address+length)``."""
         first = self._region(address)

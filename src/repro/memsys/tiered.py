@@ -25,9 +25,10 @@ class MigrationRecord:
 
 @dataclass
 class MigrationStats:
-    """Aggregate migration accounting."""
+    """Aggregate migration accounting: page moves and their summed cost (ns)."""
 
     migrations: int = 0
+    cost_ns: float = 0.0
 
 
 class TieredMemorySystem:
@@ -262,6 +263,7 @@ class TieredMemorySystem:
         self._node[page_id] = dst_node_id
         self._generation += 1
         self._migration_stats.migrations += 1
+        self._migration_stats.cost_ns += cost
         return MigrationRecord(page_id, src_node_id, dst_node_id, cost, mode)
 
     def swap_pages(self, page_a: int, page_b: int) -> List[MigrationRecord]:
@@ -278,6 +280,7 @@ class TieredMemorySystem:
         self._generation += 1
         cost = self.migration_cost_ns()
         self._migration_stats.migrations += 2
+        self._migration_stats.cost_ns += 2 * cost
         return [
             MigrationRecord(page_a, node_a, node_b, cost, self._migration_mode),
             MigrationRecord(page_b, node_b, node_a, cost, self._migration_mode),

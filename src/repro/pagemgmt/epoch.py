@@ -14,14 +14,16 @@ def run_page_management_epoch(
 ) -> float:
     """Claim-&-swap, then spreading, then halve the hotness counts.
 
-    Returns the epoch's migration cost in ns; the caller books it and
+    Returns the epoch's migration cost in ns, as the tiered memory's
+    :class:`~repro.memsys.tiered.MigrationStats` booked it; the caller
     charges its share of it as a stall
     (:meth:`~repro.memsys.tiered.TieredMemorySystem.migration_stall_ns`).
     """
-    swap = hotness.run_epoch(tiered)
-    balance = spreading.rebalance(tiered)
+    booked = tiered.migration_stats.cost_ns
+    hotness.run_epoch(tiered)
+    spreading.rebalance(tiered)
     tiered.decay_hotness(0.5)
-    return swap.cost_ns + balance.cost_ns
+    return tiered.migration_stats.cost_ns - booked
 
 
 __all__ = ["run_page_management_epoch"]

@@ -26,7 +26,6 @@ class SwapOutcome:
 
     promotions: int
     demotions: int
-    cost_ns: float
 
 
 class GlobalHotnessPolicy:
@@ -66,7 +65,6 @@ class GlobalHotnessPolicy:
         local_pages, cxl_pages = self._candidates(tiered)
         promotions = 0
         demotions = 0
-        cost = 0.0
         swaps = min(self.max_swaps_per_epoch, len(local_pages), len(cxl_pages))
         for i in range(swaps):
             cold_page_id, cold_count = local_pages[i]
@@ -80,12 +78,11 @@ class GlobalHotnessPolicy:
             records = tiered.swap_pages(hot_page_id, cold_page_id)
             if not records:
                 continue
-            cost += sum(r.cost_ns for r in records)
             self.regions.claim(hot_page_id)
             self.regions.release(cold_page_id)
             promotions += 1
             demotions += 1
-        return SwapOutcome(promotions=promotions, demotions=demotions, cost_ns=cost)
+        return SwapOutcome(promotions=promotions, demotions=demotions)
 
 
 __all__ = ["GlobalHotnessPolicy", "SwapOutcome"]

@@ -6,6 +6,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.api.registry import register_system
 from repro.config import SystemConfig
+from repro.cxl.bias_table import BiasMode
 from repro.cxl.topology import FabricTopology
 from repro.memsys.tiered import TieredMemorySystem
 from repro.pagemgmt.epoch import run_page_management_epoch
@@ -67,11 +68,10 @@ class PIFSRecSystem(SLSSystem):
             for host_id in range(self.system.num_hosts)
         }
         # The embedding-table region is designated device-bias (§IV-A1), so
-        # in-switch fetches never pay the host-bias coherence round trip.
-        from repro.cxl.bias_table import BiasMode
-
+        # in-switch fetches never pay the host-bias coherence round trip;
+        # every device address is an embedding row, so it is the default.
         for device in self.backends.devices:
-            device.bias_table.set_mode(0, BiasMode.DEVICE, workload.address_space.total_bytes)
+            device.bias_table.set_default(BiasMode.DEVICE)
         num_switches = self.system.num_fabric_switches
         if num_switches > 1:
             topology = FabricTopology(num_switches, self.system.cxl)
@@ -97,10 +97,9 @@ class PIFSRecSystem(SLSSystem):
         if not split.remote_addresses:
             return local_done
 
-        # Record CXL accesses for placement policies and counters.
+        # Record CXL accesses for the placement policies and the result.
         for address in split.remote_addresses:
             self.tiered.record_access(address)
-        self._counters["cxl_rows"] += len(split.remote_addresses)
 
         remote_done = self._accumulate_in_fabric(split.remote_addresses, start_ns, host_id, request)
         return host.combine(local_done, remote_done)
@@ -174,8 +173,6 @@ class PIFSRecSystem(SLSSystem):
         ctx = self._vector
         begin, end = ctx.locate(request.request_id)
         local_ks, remote_ks, remote_devs, remote_sws = ctx.split(begin, end)
-        # Bulk-append the whole bag in C; counting waits for the flush.
-        ctx.pending_pages.extend(ctx.page[begin:end])
         host = self.hosts[host_id]
 
         # Local candidates: host-side loads in LOCAL_MLP groups, run through
@@ -183,7 +180,6 @@ class PIFSRecSystem(SLSSystem):
         local_done = start_ns
         if local_ks:
             local_done = self._local_bags[host_id](local_ks, ctx.lch, ctx.lfb, ctx.lrow, start_ns)
-            self._counters["local_rows"] += len(local_ks)
 
         if not remote_ks:
             return local_done
@@ -191,7 +187,6 @@ class PIFSRecSystem(SLSSystem):
         # Remote candidates: accumulate in-fabric.
         addr = ctx.addr
         cch, cfb, crow = ctx.cch, ctx.cfb, ctx.crow
-        self._counters["cxl_rows"] += len(remote_ks)
 
         dev_access = ctx.dev_access_switch
         ports = ctx.port_kernels[host_id]
@@ -253,7 +248,6 @@ class PIFSRecSystem(SLSSystem):
         if not self.page_management:
             return 0.0
         cost = run_page_management_epoch(self.tiered, self.hotness_policy, self.spreading_policy)
-        self.add_migration_cost(cost)
         return self.tiered.migration_stall_ns(cost)
 
 

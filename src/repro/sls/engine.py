@@ -38,6 +38,7 @@ from repro.memsys.page import page_id_of
 from repro.memsys.tiered import TieredMemorySystem
 from repro.obs.log import get_logger
 from repro.obs.recorder import NULL_RECORDER
+from repro.pifs.onswitch_buffer import OnSwitchBuffer
 from repro.pifs.switch import PIFSSwitch
 from repro.sls.result import SimResult
 from repro.traces.workload import SLSRequest, SLSWorkload
@@ -140,8 +141,8 @@ class SLSSystem(ABC):
         self.backends: Optional[MemoryBackends] = None
         self.tiered: Optional[TieredMemorySystem] = None
         self.workload: Optional[SLSWorkload] = None
-        self._counters: Dict[str, float] = {}
-        self._migration_cost_ns = 0.0
+        #: Row bytes the host-centric paths moved from CXL to the host.
+        self._bytes_to_host = 0
         self._lookups_since_maintenance = 0
         self.engine = "scalar"
         self._vector = None
@@ -227,15 +228,7 @@ class SLSSystem(ABC):
 
     def _begin_session(self, workload: SLSWorkload) -> None:
         self.workload = workload
-        self._counters = {
-            "local_rows": 0,
-            "cxl_rows": 0,
-            "remote_rows": 0,
-            "buffer_hits": 0,
-            "buffer_misses": 0,
-            "bytes_to_host": 0,
-        }
-        self._migration_cost_ns = 0.0
+        self._bytes_to_host = 0
         self._lookups_since_maintenance = 0
         self.backends = MemoryBackends(
             self.system, workload.model.embedding_row_bytes, use_pifs_switch=self.use_pifs_switch
@@ -341,8 +334,8 @@ class SLSSystem(ABC):
         """Bookkeeping after one request; returns the maintenance stall (ns).
 
         Records the request span, adds the request's lookups to the epoch
-        counter and, when an epoch closes, flushes the vector context's
-        buffered access counts and runs :meth:`maintenance`.  Served
+        counter and, when an epoch closes, has the vector context record
+        the pages it located and runs :meth:`maintenance`.  Served
         requests pause their own lane: maintenance starts at ``finish_ns``
         and the caller adds the returned stall to that lane.  The
         closed-loop replay passes its ``lanes`` instead: maintenance starts
@@ -617,7 +610,6 @@ class SLSSystem(ABC):
 
     def host_local_access(self, address: int, start_ns: float, host_id: int = 0) -> float:
         """A host load served by that host's local DRAM."""
-        self._counters["local_rows"] += 1
         self.tiered.record_access(address)
         dram = self.backends.local_dram_of_host(host_id)
         finish = dram.access(address, start_ns, bytes_requested=self.backends.row_bytes)
@@ -625,8 +617,7 @@ class SLSSystem(ABC):
 
     def host_cxl_access(self, address: int, start_ns: float, host_id: int) -> float:
         """A host load served by a CXL device through the fabric switch."""
-        self._counters["cxl_rows"] += 1
-        self._counters["bytes_to_host"] += self.backends.row_bytes
+        self._bytes_to_host += self.backends.row_bytes
         self.tiered.record_access(address)
         device_id = self.device_of_address(address)
         switch = self.backends.switch_of_device(device_id)
@@ -660,8 +651,7 @@ class SLSSystem(ABC):
         :meth:`VectorContext.locate <repro.sls.vector.VectorContext.locate>`
         resolves the request's block to (page, node, DRAM coordinates)
         first; the MLP-group timing below runs on the flattened kernels with
-        the exact scalar arithmetic, and the page/node access-recording side
-        effects are buffered on the context for the pre-maintenance flush.
+        the exact scalar arithmetic.
         """
         ctx = self._vector
         begin, end = ctx.locate(request.request_id)
@@ -677,10 +667,6 @@ class SLSSystem(ABC):
         accumulate_ns = self.HOST_ACCUMULATE_NS_PER_ROW
         mlp = self.HOST_MLP
 
-        # One C-level bulk append for the bag; counting waits for the flush.
-        ctx.pending_pages.extend(ctx.page[begin:end])
-        local_rows = 0
-        cxl_rows = 0
         cursor = start_ns
         index = begin
         while index < end:
@@ -690,10 +676,8 @@ class SLSSystem(ABC):
             group_finish = cursor
             for k in range(index, group_end):
                 if local_flags[k]:
-                    local_rows += 1
                     finish = dram_access(lch[k], lfb[k], lrow[k], cursor) + local_overhead
                 else:
-                    cxl_rows += 1
                     device_id = row_device[k]
                     finish = (
                         host_reads[device_switch[device_id]](
@@ -706,10 +690,9 @@ class SLSSystem(ABC):
             cursor = group_finish + (group_end - index) * accumulate_ns
             index = group_end
 
-        counters = self._counters
-        counters["local_rows"] += local_rows
-        counters["cxl_rows"] += cxl_rows
-        counters["bytes_to_host"] += cxl_rows * ctx.row_bytes
+        local_rows = sum(local_flags[begin:end])
+        cxl_rows = end - begin - local_rows
+        self._bytes_to_host += cxl_rows * ctx.row_bytes
         obs = self.obs
         if obs.enabled:
             obs.add("kernel.local_dram.invocations", local_rows)
@@ -720,40 +703,42 @@ class SLSSystem(ABC):
     # ------------------------------------------------------------------
     # Result assembly
     # ------------------------------------------------------------------
-    def add_migration_cost(self, cost_ns: float) -> None:
-        self._migration_cost_ns += cost_ns
+    def row_buffers(self) -> List[OnSwitchBuffer]:
+        """The buffers whose own lookup counts are the result's buffer hits and misses."""
+        return [switch.buffer for switch in self.backends.switches if isinstance(switch, PIFSSwitch)]
 
     def _build_result(self, workload: SLSWorkload, total_ns: float) -> SimResult:
+        """The result; each count is read from the one component that keeps it."""
         device_counts = {
             device.device_id: device.reads + device.writes for device in self.backends.devices
         }
         stall_cycles = 0.0
         backpressure = 0.0
-        buffer_hits = int(self._counters.get("buffer_hits", 0))
-        buffer_misses = int(self._counters.get("buffer_misses", 0))
         for switch in self.backends.switches:
             if isinstance(switch, PIFSSwitch):
                 stall_cycles += switch.process_core.accumulator.stats.stall_cycles
                 backpressure += switch.process_core.stats.backpressure_ns
-                buffer_hits += switch.buffer.hits
-                buffer_misses += switch.buffer.misses
-        migration_stats = self.tiered.migration_stats if self.tiered else None
+        buffers = self.row_buffers()
+        rows = dict.fromkeys(MemoryTier, 0)
+        for node in self.tiered.nodes():
+            rows[node.tier] += node.access_count
+        migration_stats = self.tiered.migration_stats
         net = self._net_fabric.finalize() if self._net_fabric is not None else None
         return SimResult(
             system=self.name,
             total_ns=total_ns,
             requests=len(workload),
             lookups=workload.total_lookups,
-            local_rows=int(self._counters.get("local_rows", 0)),
-            cxl_rows=int(self._counters.get("cxl_rows", 0)),
-            remote_socket_rows=int(self._counters.get("remote_rows", 0)),
-            buffer_hits=buffer_hits,
-            buffer_misses=buffer_misses,
-            migrations=migration_stats.migrations if migration_stats else 0,
-            migration_cost_ns=self._migration_cost_ns,
+            local_rows=rows[MemoryTier.LOCAL_DRAM],
+            cxl_rows=rows[MemoryTier.CXL],
+            remote_socket_rows=rows[MemoryTier.REMOTE_SOCKET],
+            buffer_hits=sum(buffer.hits for buffer in buffers),
+            buffer_misses=sum(buffer.misses for buffer in buffers),
+            migrations=migration_stats.migrations,
+            migration_cost_ns=migration_stats.cost_ns,
             stall_cycles=stall_cycles,
             backpressure_ns=backpressure,
-            bytes_to_host=int(self._counters.get("bytes_to_host", 0)),
+            bytes_to_host=self._bytes_to_host,
             device_access_counts=device_counts,
             net=net,
         )

@@ -27,9 +27,10 @@ A context lives for one session: the engine builds it in ``begin_session``
 and drops it in ``finish_session`` once its kernels are synced back into
 the device models, so a finished system holds no resolution state.
 
-Access-counter side effects (the page count column and the per-node
-counters that feed the page-management policies) are buffered as a list
-of page ids and flushed through
+Every position :meth:`VectorContext.locate` returns is an accessed row,
+and a unit's requests are timed in order, so each flush records the
+pages of the positions located since the previous one (no page list is
+buffered) through
 :meth:`~repro.memsys.tiered.TieredMemorySystem.record_pages`, two
 bincounts, before every maintenance pass and at session end, preserving
 every placement decision the scalar engine would make.
@@ -61,7 +62,7 @@ class VectorContext:
     Construction builds the kernels and resolves nothing.  The engine calls
     :meth:`load_window` with every dispatch unit before timing it, and each
     request path calls :meth:`locate` for its positions in the resolved
-    block.  The block lists — ``addr``, ``page``, the local and CXL DRAM
+    block.  The block lists — ``addr``, the local and CXL DRAM
     coordinates ``lch``/``lfb``/``lrow`` and ``cch``/``cfb``/``crow``, and
     the placement columns ``local_flags``/``row_device`` — never cover more
     than :attr:`NODE_WINDOW` positions or one request, whichever is longer.
@@ -133,10 +134,10 @@ class VectorContext:
         self.dev_access_switch = [kernel.access_switch for kernel in self.device_kernels]
         self.port_host_read = [[port.host_read for port in ports] for ports in self.port_kernels]
 
-        # Buffered access-recording side effects (flushed before maintenance):
-        # the request paths ``extend`` page-id slices onto ``pending_pages``
-        # (a C-level list append) and the counting happens once per flush.
-        self.pending_pages: List[int] = []
+        # Located but unrecorded positions: ``[_recorded, _located)`` of the
+        # current unit, and the address slices earlier units left.
+        self._recorded = self._located = 0
+        self._unrecorded: List[np.ndarray] = []
 
         # No unit yet: an empty column and empty block lists.
         self._addresses = self._block_pages = np.zeros(0, dtype=np.int64)
@@ -158,11 +159,14 @@ class VectorContext:
         unit's int64 address column and every request's ``(begin, end)``
         span in it, keyed by request id, so ids may be global and have gaps
         (fleet shard views, a host's batch); :meth:`locate` resolves the
-        column block by block.  Kernel state and the buffered access
-        counters are left untouched — they are cumulative across units,
-        exactly like the scalar engine's device state, so every finish time
-        is independent of how the trace is cut.
+        column block by block.  The old unit's located, unrecorded positions
+        are kept as a slice of its column for the next flush.  Kernel state
+        is left untouched — it is cumulative across units, exactly like the
+        scalar engine's device state, so every finish time is independent
+        of how the trace is cut.
         """
+        self._keep_unrecorded()
+        self._recorded = self._located = 0
         if requests:
             addresses = np.concatenate([request.addresses for request in requests])
         else:
@@ -206,9 +210,11 @@ class VectorContext:
         next call.  The request must lie in the node window, the span of
         the decoded block whose placement was gathered under the current
         generation; otherwise :meth:`_ensure_window` gathers a new one
-        first.
+        first.  Callers locate a unit's requests in order, and every
+        located row is accessed: the next :meth:`flush_tiered` records it.
         """
         begin, end = self._spans[request_id]
+        self._located = end
         if (
             self.tiered.generation != self._node_generation
             or begin < self._window_start
@@ -261,7 +267,7 @@ class VectorContext:
         self._node_generation = generation
 
     #: The block lists decoded from the unit's addresses, in decode order.
-    DECODED_LISTS = ("addr", "page", "lch", "lfb", "lrow", "cch", "cfb", "crow")
+    DECODED_LISTS = ("addr", "lch", "lfb", "lrow", "cch", "cfb", "crow")
 
     def _decode_block(self, begin: int, end: int) -> None:
         """Make unit positions from ``begin`` the new block.
@@ -279,7 +285,7 @@ class VectorContext:
         addresses = self._addresses[begin + kept:stop]
         pages = addresses // PAGE_SIZE_BYTES
         decoded = (
-            addresses, pages,
+            addresses,
             *self._local_mapping.decode_flat_batch(addresses),
             *self._cxl_mapping.decode_flat_batch(addresses),
         )
@@ -325,19 +331,26 @@ class VectorContext:
     # ------------------------------------------------------------------
     # State flushing
     # ------------------------------------------------------------------
+    def _keep_unrecorded(self) -> None:
+        """Set the located, unrecorded positions of the unit aside (a view)."""
+        if self._located > self._recorded:
+            self._unrecorded.append(self._addresses[self._recorded:self._located])
+            self._recorded = self._located
+
     def flush_tiered(self) -> None:
-        """Flush buffered access counts into the page count column and node counters.
+        """Record the pages of the positions located since the last flush.
 
         Must run before anything reads page/node hotness — the engine calls
         it ahead of every maintenance pass and at session end.
         """
+        self._keep_unrecorded()
+        located, self._unrecorded = self._unrecorded, []
         obs = self.system.obs
         if obs.enabled:
             obs.count("vector.flush.calls")
-            obs.add("vector.flush.pages", len(self.pending_pages))
-        if self.pending_pages:
-            self.tiered.record_pages(self.pending_pages)
-            self.pending_pages = []
+            obs.add("vector.flush.pages", sum(map(len, located)))
+        if located:
+            self.tiered.record_pages(np.concatenate(located) // PAGE_SIZE_BYTES)
 
     def flush_all(self) -> None:
         """Flush counters and write every kernel's state back to the models.

@@ -53,7 +53,7 @@ class TestGlobalHotness:
         outcome = policy.run_epoch(tiered)
         assert outcome.promotions >= 1
         assert tiered.node_of_page(hot_cxl_page).tier is MemoryTier.LOCAL_DRAM
-        assert outcome.cost_ns > 0
+        assert tiered.migration_stats.cost_ns > 0
 
     def test_no_swap_when_local_already_hot(self):
         tiered = build_tiered()
@@ -93,7 +93,7 @@ class TestSpreading:
         for page in range(32, 80):
             tiered.record_access(page * PAGE_SIZE_BYTES)
         policy = SpreadingPolicy(migrate_threshold=0.35)
-        warm = policy.find_warm_nodes(tiered)
+        warm = policy.find_warm_nodes(policy.node_hotness(tiered))
         assert warm == [1]
 
     def test_rebalance_moves_pages_off_warm_node(self):
@@ -106,7 +106,7 @@ class TestSpreading:
         policy = SpreadingPolicy(migrate_threshold=0.35, max_migrations_per_epoch=4)
         outcome = policy.rebalance(tiered)
         assert outcome.migrations >= 1
-        assert outcome.cost_ns > 0
+        assert tiered.migration_stats.cost_ns > 0
         assert 1 in outcome.warm_nodes
 
     def test_no_migration_when_balanced(self):
@@ -125,11 +125,44 @@ class TestSpreading:
         tiered = build_tiered(num_cxl=1)
         for page in range(16, 32):
             tiered.record_access(page * PAGE_SIZE_BYTES)
-        assert SpreadingPolicy().find_warm_nodes(tiered) == []
+        policy = SpreadingPolicy()
+        assert policy.find_warm_nodes(policy.node_hotness(tiered)) == []
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             SpreadingPolicy(migrate_threshold=0.0)
+
+    def test_traffic_that_has_decayed_away_marks_no_node_warm(self):
+        """Node 1 served a burst epochs ago; recent traffic is even, so nothing moves."""
+        tiered = build_tiered(num_cxl=3, pages_per_node=4)
+        for _ in range(100):
+            tiered.record_access(4 * PAGE_SIZE_BYTES)
+        for _ in range(8):
+            tiered.decay_hotness(0.5)
+        for page in (5, 9, 13):  # one page on each CXL node
+            for _ in range(2):
+                tiered.record_access(page * PAGE_SIZE_BYTES)
+        placement = tiered.node_id_table().tolist()
+        served = tiered.node_access_counts()
+        outcome = SpreadingPolicy().rebalance(tiered)
+        assert outcome.warm_nodes == []
+        assert outcome.migrations == 0
+        assert tiered.node_id_table().tolist() == placement
+        assert tiered.node_access_counts() == served
+
+    def test_only_pages_with_recent_traffic_move(self):
+        """Node 1's three pages without traffic stay; its one hot page moves."""
+        tiered = build_tiered(num_cxl=3, pages_per_node=4)
+        for _ in range(30):
+            tiered.record_access(4 * PAGE_SIZE_BYTES)
+        for page in (8, 12):
+            tiered.record_access(page * PAGE_SIZE_BYTES)
+        served = tiered.node_access_counts()
+        outcome = SpreadingPolicy(max_iterations=1).rebalance(tiered)
+        assert outcome.warm_nodes == [1]
+        assert outcome.migrations == 1
+        assert tiered.node_of_page(4).node_id == 2
+        assert tiered.node_access_counts() == served
 
     @staticmethod
     def three_nodes(destination_pages, placement, hits):

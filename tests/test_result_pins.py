@@ -6,7 +6,8 @@ it.  Config B shortens the page-management epoch so the policies of
 Pond+PM, RecNMP, TPP and PIFS-Rec migrate often; TPP then makes fewer
 swaps than its cap and leaves its epochs through the threshold ``break``.
 Config C is config B on RMC1, where embedding spreading moves pages
-between CXL nodes; on RMC2 it moves none.
+between CXL nodes in every one of them; on RMC2 it moves 8 pages for
+Pond+PM and TPP and none for RecNMP and PIFS-Rec.
 """
 
 import hashlib
@@ -27,16 +28,16 @@ CONFIG_A = {
     "pifs-rec-nopm": "51d7a3f908235c71",
 }
 CONFIG_B = {
-    "pond+pm": "b6a64d5529bb37a3",
+    "pond+pm": "77e19c3fd1368674",
     "recnmp": "7ef87e01ba9cdb1b",
-    "tpp": "53ff9302a2336b3c",
+    "tpp": "3c036aee23a885e3",
     "pifs-rec": "98678db2d617bc67",
 }
 CONFIG_C = {
-    "pond+pm": "71f63d344b5505e7",
-    "recnmp": "1a9decf7c990cf4e",
-    "tpp": "8240534bbb058fdd",
-    "pifs-rec": "761025fc80da49cd",
+    "pond+pm": "12c1432ffe205dfd",
+    "recnmp": "567351fde5a8dd73",
+    "tpp": "72f3cf5c49f31710",
+    "pifs-rec": "95cea2b116acef64",
 }
 PINS = [(system, False, digest) for system, digest in CONFIG_A.items()] + [
     (system, True, digest) for system, digest in CONFIG_B.items()

@@ -50,7 +50,7 @@ BIG_BUDGET_BYTES = 96 * MiB
 
 #: The vector context's per-position lists, all as long as its block.
 BLOCK_LISTS = (
-    "addr", "page", "lch", "lfb", "lrow", "cch", "cfb", "crow", "local_flags", "row_device",
+    "addr", "lch", "lfb", "lrow", "cch", "cfb", "crow", "local_flags", "row_device",
 )
 
 

@@ -1,12 +1,14 @@
 """Integration tests: every SLS system runs a workload and the paper's
 qualitative ordering holds."""
 
+import numpy as np
 import pytest
 
 from repro.baselines import SYSTEM_FACTORIES, create_system
 from repro.baselines.beacon import BeaconSystem
 from repro.baselines.pond import PondSystem
 from repro.baselines.recnmp import RecNMPSystem
+from repro.cxl.bias_table import BiasTable
 from repro.pifs.system import PIFSRecNoPM, PIFSRecSystem
 from repro.sls.result import SimResult
 
@@ -40,12 +42,42 @@ class TestEverySystemRuns:
         assert result.total_ns > 0
         assert result.requests == len(tiny_workload.requests)
         assert result.lookups == tiny_workload.total_lookups
-        assert result.local_rows + result.cxl_rows + result.remote_socket_rows >= result.lookups * 0.99
+        assert result.local_rows + result.cxl_rows + result.remote_socket_rows == result.lookups
 
     def test_latency_per_lookup_positive(self, results):
         for result in results.values():
             assert result.latency_per_lookup_ns > 0
             assert result.throughput_lookups_per_us > 0
+
+
+class TestAccounting:
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    @pytest.mark.parametrize("name", sorted(SYSTEM_FACTORIES))
+    def test_every_lookup_is_served_by_one_tier(self, tiny_workload, tiny_system, name, engine):
+        result = create_system(name, tiny_system).set_engine(engine).run(tiny_workload)
+        assert result.local_rows + result.cxl_rows + result.remote_socket_rows == result.lookups
+
+    @pytest.mark.parametrize("name, mode", [("pond+pm", "page_block"), ("pifs-rec", "cacheline_block")])
+    def test_migration_cost_is_the_price_of_each_migration(self, tiny_workload, tiny_system, name, mode):
+        system = create_system(name, tiny_system)
+        result = system.run(tiny_workload)
+        assert result.migrations > 0
+        assert result.migration_cost_ns == result.migrations * system.tiered.migration_cost_ns(mode)
+
+    def test_pifs_rec_tables_are_device_biased_by_default(self, tiny_workload, tiny_system):
+        """No bias-region entry: every fetch takes the kernel's uniform branch."""
+        addresses = np.unique(np.concatenate([r.addresses for r in tiny_workload.requests])).tolist()
+        pifs = PIFSRecSystem(tiny_system)
+        pifs.begin_session(tiny_workload)
+        beacon = BeaconSystem(tiny_system)
+        beacon.begin_session(tiny_workload)
+        for device in pifs.backends.devices:
+            assert device.bias_table._entries == {}
+            assert {device.bias_table.device_access_penalty_ns(a) for a in addresses} == {0.0}
+        for device in beacon.backends.devices:
+            assert {device.bias_table.device_access_penalty_ns(a) for a in addresses} == {
+                BiasTable.HOST_BIAS_PENALTY_NS
+            }
 
 
 class TestPaperOrdering:
